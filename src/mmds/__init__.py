@@ -8,7 +8,7 @@ from .emmdea import StateSpaceError, solve_extended
 from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      build_spt, check_quality, identity_selection,
                      segment_views, transmitted_views, validate_selection)
-from .hmmdea import HeuristicResult, h_solve, sweep
+from .hmmdea import HeuristicResult, h_solve
 from .instances import demo_graph, demo_instance
 from .mmdea import (CostTable, SolveResult, SolverError, backtrack,
                     solve_d2, solve_d3, solve_general, solve_segment,

@@ -22,7 +22,7 @@ from .emmdea import StateSpaceError, solve_extended
 from .graphs import build_spt
 from .hmmdea import h_solve
 from .instances import DEMO_VIEW_COUNT, demo_instance
-from .mmdea import solve_general, two_view_fraction
+from .mmdea import SolverError, solve_general, two_view_fraction
 from .oracle import OracleGuardError, brute_force_emmds, brute_force_mmds, omds
 from .workload import (DemandDistribution, generate_topology, parse_topology,
                        read_demand, sample_demand)
@@ -124,8 +124,9 @@ def _solver_row(base, solver, tree, demand, D, phi):
     start = time.perf_counter()
     try:
         result = run_solver(solver, tree, demand, D, phi)
-    except (OracleGuardError, StateSpaceError) as exc:
-        row.update({"status": "error", "error": str(exc), "total_bandwidth": "",
+    except (OracleGuardError, StateSpaceError, SolverError) as exc:
+        error = f"SolverError: {exc}" if isinstance(exc, SolverError) else str(exc)
+        row.update({"status": "error", "error": error, "total_bandwidth": "",
                     "evaluated_cost": "", "two_view_fraction": "",
                     "runtime_ms": round((time.perf_counter() - start) * 1000, 3)})
         return row
@@ -210,6 +211,9 @@ def _cmd_solve(args) -> int:
     except (OracleGuardError, StateSpaceError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -254,6 +258,8 @@ def _cmd_run(args) -> int:
             write_csv(rows, fh)
     else:
         write_csv(rows, sys.stdout)
+    if any(r["error"].startswith("SolverError:") for r in rows):
+        return 3
     return 0
 
 

@@ -13,10 +13,25 @@ from collections import deque
 from dataclasses import dataclass, field
 
 
+def bfs_distances(adj, source) -> dict:
+    """Hop count from `source` to every node it reaches; `adj` maps each
+    node to its neighbours."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        n = queue.popleft()
+        for m in adj[n]:
+            if m not in dist:
+                dist[m] = dist[n] + 1
+                queue.append(m)
+    return dist
+
+
 class NetworkGraph:
     """Undirected unit-length graph with a designated server node.
 
-    Self-loops are rejected; parallel edges collapse to one.
+    Self-loops are rejected; parallel edges collapse to one.  `dist` holds
+    the hop count from the server to every node it reaches.
     """
 
     def __init__(self, nodes, edges, server, labels=None):
@@ -38,6 +53,7 @@ class NetworkGraph:
             a, b = tuple(e)
             self._adj[a].add(b)
             self._adj[b].add(a)
+        self.dist = bfs_distances(self._adj, server)
 
     def neighbors(self, n):
         return self._adj[n]
@@ -51,29 +67,7 @@ class NetworkGraph:
         return len(self.edges)
 
     def is_connected(self):
-        seen = {self.server}
-        q = deque([self.server])
-        while q:
-            n = q.popleft()
-            for m in self._adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    q.append(m)
-        return len(seen) == len(self.nodes)
-
-    def largest_component(self):
-        """Subgraph induced by the component containing the server."""
-        seen = {self.server}
-        q = deque([self.server])
-        while q:
-            n = q.popleft()
-            for m in self._adj[n]:
-                if m not in seen:
-                    seen.add(m)
-                    q.append(m)
-        edges = [tuple(e) for e in self.edges if e <= seen]
-        labels = {n: l for n, l in self.labels.items() if n in seen}
-        return NetworkGraph(seen, edges, self.server, labels)
+        return len(self.dist) == len(self.nodes)
 
     def __eq__(self, other):
         return (isinstance(other, NetworkGraph)
@@ -117,20 +111,6 @@ class ShortestPathTree:
             self.path_arcs[t] = frozenset(arcs)
             self.depth[t] = len(arcs)
         self.arcs = frozenset().union(*self.path_arcs.values()) if self.terminals else frozenset()
-        self._children = {}
-        for p, c in self.arcs:
-            self._children.setdefault(p, set()).add(c)
-
-    def children(self, n):
-        return self._children.get(n, set())
-
-    @property
-    def tree_nodes(self):
-        ns = {self.root}
-        for p, c in self.arcs:
-            ns.add(p)
-            ns.add(c)
-        return ns
 
     def __eq__(self, other):
         return (isinstance(other, ShortestPathTree)
@@ -153,34 +133,18 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     missing = terminals - graph.nodes
     if missing:
         raise ValueError(f"terminals not in graph: {sorted(missing, key=repr)}")
-    dist = {graph.server: 0}
-    frontier = [graph.server]
-    while frontier:
-        nxt = set()
-        for n in frontier:
-            for m in graph.neighbors(n):
-                if m not in dist:
-                    nxt.add(m)
-        for m in nxt:
-            dist[m] = dist[frontier[0]] + 1
-        frontier = sorted(nxt)
+    dist = graph.dist
     for t in sorted(terminals, key=repr):
         if t not in dist:
             raise ValueError(f"terminal {t!r} is unreachable from server {graph.server!r}")
+    # walking up from the terminals visits only nodes on some root path
     parents = {}
-    for n, d in dist.items():
-        if n == graph.server:
-            continue
-        parents[n] = min(m for m in graph.neighbors(n) if dist.get(m) == d - 1)
-    # keep only arcs on some root->terminal path
-    keep = set()
     for t in terminals:
         n = t
-        while n != graph.server and n not in keep:
-            keep.add(n)
+        while n != graph.server and n not in parents:
+            parents[n] = min(m for m in graph.neighbors(n) if dist[m] == dist[n] - 1)
             n = parents[n]
-    pruned = {n: p for n, p in parents.items() if n in keep}
-    return ShortestPathTree(graph.server, pruned, terminals)
+    return ShortestPathTree(graph.server, parents, terminals)
 
 
 class DemandMap:
@@ -200,9 +164,6 @@ class DemandMap:
                 raise ValueError(f"demand keys are not terminals: {sorted(extra, key=repr)}")
         self.desired_views = tuple(sorted(set(self.demand.values())))
 
-    def subscribers(self, view):
-        return [t for t, v in self.demand.items() if v == view]
-
     def __eq__(self, other):
         return (isinstance(other, DemandMap)
                 and self.demand == other.demand
@@ -218,13 +179,6 @@ class Segment:
     lo: int
     hi: int
     members: tuple = field(default=())
-
-    def __contains__(self, view):
-        return view in self.members
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
 
 def segment_views(demand: DemandMap, D: int) -> list[Segment]:

@@ -1,15 +1,16 @@
-"""Linear-time improvement heuristic: start from direct delivery and
-repeatedly replace one transmitted view by its two transmitted
-neighbours, re-costing each candidate with a single postorder sweep of
-the delivery tree.  Only the strictly best improvement is committed per
-round, so the cost decreases monotonically and the loop terminates.
+"""Improvement heuristic: start from direct delivery and repeatedly
+replace one transmitted view by its two transmitted neighbours.  Each
+transmitted view keeps its delivery tree (the arcs that carry it), so a
+candidate is priced by its marginal change to those trees alone.  Only
+the strictly best improvement is committed per round, so the cost
+decreases monotonically and the loop terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import cost_of_parts, evaluate_cost
+from .cost import cost_of_parts, edge_view_loads, evaluate_cost, view_trees
 from .graphs import (DemandMap, ShortestPathTree, check_quality,
                      segment_views, transmitted_views, validate_selection)
 from .mmdea import SolveResult, SolverError
@@ -19,37 +20,6 @@ from .mmdea import SolveResult, SolverError
 class HeuristicResult(SolveResult):
     round_costs: list = field(default_factory=list)
     arc_views: dict = field(default_factory=dict)
-
-
-def _postorder(tree: ShortestPathTree):
-    order = []
-    stack = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-        else:
-            stack.append((node, True))
-            for c in sorted(tree.children(node), key=repr):
-                stack.append((c, False))
-    return order
-
-
-def sweep(tree: ShortestPathTree, needs: dict) -> tuple:
-    """One bottom-up pass: per-node label = views required below (and at)
-    the node; returns (total cost, root label, per-node labels)."""
-    order = _postorder(tree)
-    labels = {}
-    acc = {}
-    for node in order:
-        lab = set(needs.get(node, ()))
-        u = 0
-        for c in tree.children(node):
-            lab |= labels[c]
-            u += acc[c] + len(labels[c])
-        labels[node] = lab
-        acc[node] = u
-    return acc[tree.root], labels[tree.root], labels
 
 
 def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
@@ -63,13 +33,13 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
         boundary.add(seg.hi)
 
     theta = {v: (v, v) for v in demand.desired_views}
-    needs = {t: frozenset({v}) for t, v in demand.demand.items()}
-    active = sorted(demand.desired_views)   # transmitted views, descending set
+    delivery = view_trees(tree, demand)   # transmitted view -> its arcs
+    active = sorted(demand.desired_views)   # transmitted views, ascending
     sources = set()
 
-    cost, _, labels = sweep(tree, needs)
+    cost = sum(len(arcs) for arcs in delivery.values())
     if cost != evaluate_cost(tree, demand, theta):
-        raise SolverError("postorder sweep disagrees with the cost functional")
+        raise SolverError("delivery trees disagree with the cost functional")
     history = [cost]
 
     while True:
@@ -80,11 +50,11 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
             left, right = active[i - 1], active[i + 1]
             if right - left > D:
                 continue
-            trial = dict(needs)
-            for t, v in demand.demand.items():
-                if v == w:
-                    trial[t] = frozenset({left, right})
-            u, _, _ = sweep(tree, trial)
+            # w is no source, so only its own subscribers receive it and
+            # moving them to (left, right) touches just these three trees
+            tw = delivery[w]
+            u = (cost - len(tw) + len(tw - delivery[left])
+                 + len(tw - delivery[right]))
             if u < cost:
                 key = (u, w, right - left)
                 if best_key is None or key < best_key:
@@ -93,21 +63,21 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
             break
         u, w, left, right = best
         theta[w] = (left, right)
-        for t, v in demand.demand.items():
-            if v == w:
-                needs[t] = frozenset({left, right})
+        tw = delivery.pop(w)
+        delivery[left] |= tw
+        delivery[right] |= tw
         active.remove(w)
         sources.update((left, right))
         cost = u
-        check, _, labels = sweep(tree, needs)
-        if check != cost or check != evaluate_cost(tree, demand, theta):
-            raise SolverError("committed sweep cost diverged from the functional")
+        if cost != evaluate_cost(tree, demand, theta):
+            raise SolverError("committed cost diverged from the functional")
         history.append(cost)
 
     issues = validate_selection(theta, demand, D)
     if issues:
         raise SolverError("heuristic selection invalid: " + "; ".join(issues))
-    arc_views = {(p, c): frozenset(labels[c]) for p, c in tree.arcs}
+    loads = edge_view_loads(tree, demand, theta)
+    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arcs}
     per_segment = [(seg, cost_of_parts(tree, demand,
                                        {v: theta[v] for v in seg.members}))
                    for seg in segs]

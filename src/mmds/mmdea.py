@@ -234,78 +234,17 @@ def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
                        evaluated, "mmdea", mode)
 
 
-def _specialized(tree, demand, seg, D, mode, anchor_depths):
-    """Shared body of the D=2 / D=3 recurrences (variants by anchor depth)."""
-    trees = view_trees(tree, demand)
-    desired = frozenset(seg.members)
-    m, M = seg.lo, seg.hi
-    prev_desired = {}
-    last = None
-    for k in range(m, M + 1):
-        prev_desired[k] = last
-        if k in desired:
-            last = k
-    table = CostTable(seg, desired)
-    for k in range(m, M + 1):
-        col = {}
-        if k == m:
-            t = trees.get(m, frozenset())
-            col[0] = Variant(len(t), 0, None, t)
-        else:
-            if k in desired:
-                lo = max(m, prev_desired[k])
-                best_val, best_col = INFEASIBLE, None
-                for kp in range(k - 1, lo - 1, -1):
-                    if table.minimum(kp) < best_val:
-                        best_val, best_col = table.minimum(kp), kp
-                if best_col is None:
-                    col[0] = Variant(INFEASIBLE, 0, None, trees[k])
-                else:
-                    col[0] = Variant(best_val + len(trees[k]), 0,
-                                     ("jump", best_col), trees[k])
-            else:
-                col[0] = Variant(INFEASIBLE, 0, None, frozenset())
-            for d in anchor_depths:
-                if k - d < m:
-                    continue
-                a = k - d
-                between = [v for v in range(a + 1, k) if v in desired]
-                if not between and k not in desired:
-                    col[d] = Variant(INFEASIBLE, d, None, frozenset())
-                    continue
-                joint = frozenset().union(*(trees[v] for v in between)) if between else frozenset()
-                ck = len(trees[k]) if k in desired else 0
-                best = None
-                for j, var in sorted(table.columns[a].items()):
-                    if var.value == INFEASIBLE:
-                        continue
-                    cand = var.value + ck + _phi(mode, trees, between, joint,
-                                                 a, k, var.anchor_tree)
-                    if best is None or cand < best[0]:
-                        best = (cand, j)
-                if best is None:
-                    col[d] = Variant(INFEASIBLE, d, None, frozenset())
-                else:
-                    col[d] = Variant(best[0], d, ("anchor", best[1]),
-                                     trees.get(k, frozenset()) | joint)
-        table.columns[k] = col
-    value = table.minimum(M)
-    if value == INFEASIBLE:
-        raise SolverError("specialized table infeasible")
-    return value, backtrack(table)
-
-
 def solve_d2(seg: Segment, tree: ShortestPathTree, demand: DemandMap,
              mode: str = "exact") -> tuple:
     """Two-variant recurrence for D = 2: v_k is unused for synthesis, or
-    synthesizes v_{k-1} jointly with v_{k-2}."""
-    _check_mode(mode)
-    return _specialized(tree, demand, seg, 2, mode, (2,))
+    synthesizes v_{k-1} jointly with v_{k-2}.  The general DP at D = 2
+    fills exactly these variants (anchor depth 2)."""
+    return solve_segment(tree, demand, seg, 2, mode)[:2]
 
 
 def solve_d3(seg: Segment, tree: ShortestPathTree, demand: DemandMap,
              mode: str = "exact") -> tuple:
     """Three-variant recurrence for D = 3: the anchor sits one or two
-    views below v_k; the two-view middle set is priced jointly."""
-    _check_mode(mode)
-    return _specialized(tree, demand, seg, 3, mode, (2, 3))
+    views below v_k; the two-view middle set is priced jointly.  The
+    general DP at D = 3 fills exactly these variants (anchor depths 2, 3)."""
+    return solve_segment(tree, demand, seg, 3, mode)[:2]

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DemandMap, NetworkGraph
+from .graphs import DemandMap, NetworkGraph, bfs_distances
 
 
 def _node_id(token: str):
@@ -198,20 +197,13 @@ def parse_topology(text_or_path, fmt: str = "gml",
 
 def _largest_component(graph: NetworkGraph) -> NetworkGraph:
     seen = set()
-    best = None
+    best = set()
     for start in graph.nodes:
         if start in seen:
             continue
-        comp = {start}
-        q = deque([start])
-        while q:
-            n = q.popleft()
-            for m in graph.neighbors(n):
-                if m not in comp:
-                    comp.add(m)
-                    q.append(m)
+        comp = set(bfs_distances(graph._adj, start))
         seen |= comp
-        if best is None or len(comp) > len(best):
+        if len(comp) > len(best):
             best = comp
     edges = [tuple(e) for e in graph.edges if e <= best]
     labels = {n: l for n, l in graph.labels.items() if n in best}

@@ -192,7 +192,7 @@ def test_criterion_5_heuristic_sandwich():
     for _ in range(500):
         tree, demand = _random_instance(rng, max_nodes=30, max_terminals=10)
         D = rng.choice([2, 3, 4, 5])
-        res = h_solve(tree, demand, D)  # re-checks its sweep internally
+        res = h_solve(tree, demand, D)  # re-checks every round internally
         lo = brute_force_mmds(tree, demand, D).total
         hi = omds(tree, demand).total
         assert lo <= res.total <= hi

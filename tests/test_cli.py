@@ -3,9 +3,11 @@ import io
 
 import pytest
 
+from mmds import cli
 from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
 from mmds.instances import DEMO_DEMAND, demo_graph
+from mmds.mmdea import SolverError
 from mmds.workload import write_edges
 
 
@@ -16,6 +18,18 @@ def demo_files(tmp_path):
     dem = tmp_path / "demo.demand"
     dem.write_text("".join(f"{t} {v}\n" for t, v in sorted(DEMO_DEMAND.items())))
     return str(topo), str(dem)
+
+
+@pytest.fixture
+def broken_mmdea(monkeypatch):
+    """Make the mmdea solver fail its internal consistency check."""
+    real = cli.run_solver
+
+    def run_solver(name, *args):
+        if name == "mmdea":
+            raise SolverError("table is corrupt")
+        return real(name, *args)
+    monkeypatch.setattr(cli, "run_solver", run_solver)
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +70,15 @@ class TestSolveCommand:
         assert code == 2
         assert "refused" in err
 
+    def test_solver_error_exit_code(self, demo_files, broken_mmdea, capsys):
+        topo, dem = demo_files
+        code, out, err = run_cli(capsys, "solve", "--topology", topo,
+                                 "--format", "edges", "--demand", dem,
+                                 "--d", "4", "--solver", "mmdea")
+        assert code == 3
+        assert err.startswith("internal error: table is corrupt")
+        assert out == ""
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.gml"
         bad.write_text("graph [ node [ ] ]")
@@ -76,6 +99,20 @@ class TestRunCommand:
         by_solver = {r["solver"]: r for r in rows if r["sample"] == "0"}
         assert by_solver["omds"]["total_bandwidth"] == "45"
         assert by_solver["mmdea"]["total_bandwidth"] == "32"
+
+    def test_solver_error_becomes_error_row(self, tmp_path, broken_mmdea,
+                                            capsys):
+        path = tmp_path / "rows.csv"
+        code, _, _ = run_cli(capsys, "run", "--preset", "demo", "--d", "4",
+                             "--solver", "omds,mmdea", "--out", str(path))
+        assert code == 3
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        by_solver = {r["solver"]: r for r in rows if r["sample"] == "0"}
+        assert by_solver["omds"]["status"] == "ok"
+        assert by_solver["omds"]["total_bandwidth"] == "45"
+        assert by_solver["mmdea"]["status"] == "error"
+        assert by_solver["mmdea"]["error"] == "SolverError: table is corrupt"
 
     def test_deterministic_modulo_runtime(self, tmp_path, capsys):
         args = ["run", "--gen", "60,80", "--views", "6", "--clients", "10",

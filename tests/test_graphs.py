@@ -1,4 +1,6 @@
 
+from importlib.resources import files
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from mmds import (DemandMap, NetworkGraph, ShortestPathTree, build_spt,
                   check_quality, identity_selection, segment_views,
                   transmitted_views, validate_selection)
 from mmds.instances import demo_instance
+from mmds.workload import parse_topology
 
 from conftest import bfs_distances
 
@@ -57,6 +60,18 @@ class TestBuildSpt:
             dist = bfs_distances({x: g.neighbors(x) for x in g.nodes}, 0)
             for term in terms:
                 assert t.depth[term] == dist[term]
+
+    def test_bundled_topology_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        g = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+        terms = [n for n in g.nodes if n != g.server]
+        t = build_spt(g, terms)
+        ref = nx.Graph(tuple(e) for e in g.edges)
+        want = nx.single_source_shortest_path_length(ref, g.server)
+        assert t.depth == {n: want[n] for n in terms}
+        assert set(t.parents) == set(terms)
+        for n, p in t.parents.items():
+            assert p == min(m for m in ref[n] if want[m] == want[n] - 1)
 
     def test_deterministic(self, rng):
         n = 30

@@ -1,7 +1,5 @@
 from mmds import (DemandMap, ShortestPathTree, brute_force_mmds,
-                  edge_view_loads, evaluate_cost, h_solve, omds,
-                  validate_selection)
-from mmds.hmmdea import sweep
+                  edge_view_loads, h_solve, omds, validate_selection)
 from mmds.instances import demo_instance
 
 from conftest import random_tree_instance
@@ -41,23 +39,25 @@ class TestHSolve:
             res = h_solve(tree, demand, D)
             assert validate_selection(res.theta, demand, D) == []
 
-    def test_arc_indicators_match_edge_loads(self):
+    def test_demo_round_costs(self):
         tree, demand = demo_instance()
-        res = h_solve(tree, demand, 4)
-        loads = edge_view_loads(tree, demand, res.theta)
-        for arc, views in loads.items():
-            assert res.arc_views[arc] == views
-        # arcs carrying nothing are reported empty, not missing
-        for arc in tree.arcs - set(loads):
-            assert res.arc_views[arc] == frozenset()
+        want = {2: [45, 41, 40], 3: [45, 41, 38], 4: [45, 41, 38],
+                5: [45, 41, 38]}
+        for D, rounds in want.items():
+            assert h_solve(tree, demand, D).round_costs == rounds
 
-
-class TestSweep:
-    def test_sweep_equals_cost_functional(self, rng):
+    def test_arc_indicators_match_edge_loads(self, rng):
+        # terminal 2 desires nothing, so arc (0, 2) carries no view
+        idle = ShortestPathTree(0, {1: 0, 2: 0}, [1, 2])
+        instances = [(*demo_instance(), 4), (idle, DemandMap({1: 3}, 5), 2)]
         for _ in range(40):
-            tree, demand = random_tree_instance(rng)
-            theta = {v: (v, v) for v in demand.desired_views}
-            needs = {t: frozenset({v}) for t, v in demand.demand.items()}
-            total, root_label, labels = sweep(tree, needs)
-            assert total == evaluate_cost(tree, demand, theta)
-            assert root_label == set(demand.desired_views)
+            instances.append((*random_tree_instance(rng), rng.choice([2, 3, 4, 5])))
+        for tree, demand, D in instances:
+            res = h_solve(tree, demand, D)
+            loads = edge_view_loads(tree, demand, res.theta)
+            assert set(res.arc_views) == tree.arcs
+            for arc, views in loads.items():
+                assert res.arc_views[arc] == views
+            # arcs carrying nothing are reported empty, not missing
+            for arc in tree.arcs - set(loads):
+                assert res.arc_views[arc] == frozenset()

@@ -66,6 +66,16 @@ class TestParseGml:
         assert g.node_count == 2
         assert any("largest component" in str(w.message) for w in caught)
 
+    def test_largest_component_need_not_hold_the_server(self):
+        # node 1 (the smallest id) sits in a 2-node component; 3-4-5 is larger
+        text = "1 2\n3 4\n4 5\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = parse_topology(text, "edges", largest_component=True)
+        assert g.nodes == {3, 4, 5}
+        assert g.server == 3
+        assert g.is_connected()
+
     def test_self_loop_dropped_with_warning(self):
         text = ("graph [ node [ id 1 ] node [ id 2 ] "
                 "edge [ source 1 target 1 ] edge [ source 1 target 2 ] ]")
