@@ -3,7 +3,7 @@ multi-view video, where a client's desired view may be synthesized from
 two transmitted neighbour views at most D indices apart."""
 
 from .cost import (INFEASIBLE, direct_cost, edge_view_loads, evaluate_cost,
-                   expansion_cost, subscriber_tree, view_trees)
+                   expansion_cost, subscriber_tree, view_masks, view_trees)
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      build_spt, check_quality, identity_selection,

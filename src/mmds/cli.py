@@ -100,6 +100,8 @@ def _echo(config: ScenarioConfig):
 
 def _run_sample(args):
     config, graph, index = args
+    if config.clients < 1:
+        raise ValueError("no desired views")
     ss = np.random.SeedSequence(config.seed, spawn_key=(index,))
     rng = np.random.default_rng(ss)
     candidates = sorted((n for n in graph.nodes if n != graph.server), key=repr)
@@ -124,10 +126,13 @@ def _solver_row(base, solver, tree, demand, D, phi):
     start = time.perf_counter()
     try:
         result = run_solver(solver, tree, demand, D, phi)
-    except (OracleGuardError, StateSpaceError, SolverError) as exc:
-        error = f"SolverError: {exc}" if isinstance(exc, SolverError) else str(exc)
-        row.update({"status": "error", "error": error, "total_bandwidth": "",
-                    "evaluated_cost": "", "two_view_fraction": "",
+    except Exception as exc:  # one failing solve must not abort the batch
+        refused = isinstance(exc, (OracleGuardError, StateSpaceError))
+        error = str(exc) if refused else f"{type(exc).__name__}: {exc}"
+        # "fault" is no CSV column; it makes `mmds run` exit 3
+        row.update({"status": "error", "error": error, "fault": not refused,
+                    "total_bandwidth": "", "evaluated_cost": "",
+                    "two_view_fraction": "",
                     "runtime_ms": round((time.perf_counter() - start) * 1000, 3)})
         return row
     elapsed = (time.perf_counter() - start) * 1000
@@ -258,7 +263,7 @@ def _cmd_run(args) -> int:
             write_csv(rows, fh)
     else:
         write_csv(rows, sys.stdout)
-    if any(r["error"].startswith("SolverError:") for r in rows):
+    if any(r.get("fault") for r in rows):
         return 3
     return 0
 

@@ -24,6 +24,29 @@ def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
     return {v: frozenset(a) for v, a in out.items()}
 
 
+def view_masks(tree: ShortestPathTree, demand: DemandMap) -> dict:
+    """`view_trees` as int bitmasks, one bit per arc on a subscriber's
+    root path, so that |A - B| is `(a & ~b).bit_count()`.
+
+    Arcs are numbered as the walk meets them; a node's path mask is its
+    parent's mask plus the bit of its own arc, computed once per node.
+    """
+    path = {tree.root: 0}
+    out = {}
+    for t, v in demand.demand.items():
+        climb = []
+        n = t
+        while n not in path:
+            climb.append(n)
+            n = tree.parents[n]
+        mask = path[n]
+        for n in reversed(climb):
+            mask |= 1 << (len(path) - 1)
+            path[n] = mask
+        out[v] = out.get(v, 0) | mask
+    return out
+
+
 def subscriber_tree(tree: ShortestPathTree, demand: DemandMap, views) -> frozenset:
     """Union of root paths over terminals whose desired view is in `views`."""
     arcs = set()

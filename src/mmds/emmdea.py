@@ -9,14 +9,15 @@ trailing window are transmitted together with the synthesis users each
 has accumulated, plus the views promised as future right sources.  A
 transmitted view retires - its full delivery tree is priced - once no
 later view can select it any more, so accumulated state values telescope
-to the true per-arc cost of the assembled selection.
+to the true per-arc cost of the assembled selection.  Delivery trees are
+int bitmasks from ``cost.view_masks``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cost import evaluate_cost, view_trees
+from .cost import evaluate_cost, view_masks
 from .graphs import (DemandMap, ShortestPathTree, check_quality,
                      segment_views, transmitted_views, validate_selection)
 from .mmdea import PHI_MODES, SolveResult, SolverError
@@ -40,22 +41,19 @@ class _State:
         return (self.window, self.promises)
 
 
-def _retire(view, users, trees, mode):
+def _retire(view, users, masks, mode):
     """Price a transmitted view once its user set is final."""
-    own = trees.get(view, frozenset())
+    own = masks.get(view, 0)
     if mode == "exact":
-        full = set(own)
+        full = own
         for p in users:
-            full |= trees.get(p, frozenset())
-        return len(full)
+            full |= masks[p]
+        return full.bit_count()
     # literal / per_view: closed-form marginals against the view's own tree
-    total = len(own)
-    for p in users:
-        total += len(trees.get(p, frozenset()) - own)
-    return total
+    return own.bit_count() + sum((masks[p] & ~own).bit_count() for p in users)
 
 
-def _solve_segment(trees, desired, m, M, D, mode, cap):
+def _solve_segment(masks, desired, m, M, D, mode, cap):
     states = {((), ()): _State((), (), 0, ())}
     for k in range(m, M + 1):
         nxt = {}
@@ -67,7 +65,7 @@ def _solve_segment(trees, desired, m, M, D, mode, cap):
             val = value
             for w, users in window:
                 if w == w_retire:
-                    val += _retire(w, users, trees, mode)
+                    val += _retire(w, users, masks, mode)
                 else:
                     win.append((w, users))
             st = _State(tuple(win), tuple(sorted(promises)), val, theta)
@@ -116,7 +114,7 @@ def _solve_segment(trees, desired, m, M, D, mode, cap):
     for st in states.values():
         if st.promises:
             raise SolverError("promise outlived the final column")
-        val = st.value + sum(_retire(w, users, trees, mode)
+        val = st.value + sum(_retire(w, users, masks, mode)
                              for w, users in st.window)
         if best is None or val < best[0]:
             best = (val, dict(st.theta))
@@ -131,13 +129,13 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
     check_quality(D)
     if mode not in PHI_MODES:
         raise ValueError(f"phi mode must be one of {PHI_MODES}, got {mode!r}")
-    trees = view_trees(tree, demand)
+    masks = view_masks(tree, demand)
     total = 0
     theta = {}
     per_segment = []
     for seg in segment_views(demand, D):
         desired = frozenset(seg.members)
-        value, th = _solve_segment(trees, desired, seg.lo, seg.hi, D, mode,
+        value, th = _solve_segment(masks, desired, seg.lo, seg.hi, D, mode,
                                    state_cap)
         total += value
         theta.update(th)

@@ -1,16 +1,17 @@
 """Improvement heuristic: start from direct delivery and repeatedly
 replace one transmitted view by its two transmitted neighbours.  Each
-transmitted view keeps its delivery tree (the arcs that carry it), so a
-candidate is priced by its marginal change to those trees alone.  Only
-the strictly best improvement is committed per round, so the cost
-decreases monotonically and the loop terminates.
+transmitted view keeps its delivery tree (the arcs that carry it, as an
+int bitmask from ``cost.view_masks``), so a candidate is priced by its
+marginal change to those trees alone: three popcounts.  Only the
+strictly best improvement is committed per round, so the cost decreases
+monotonically and the loop terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import cost_of_parts, edge_view_loads, evaluate_cost, view_trees
+from .cost import cost_of_parts, edge_view_loads, evaluate_cost, view_masks
 from .graphs import (DemandMap, ShortestPathTree, check_quality,
                      segment_views, transmitted_views, validate_selection)
 from .mmdea import SolveResult, SolverError
@@ -33,11 +34,11 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
         boundary.add(seg.hi)
 
     theta = {v: (v, v) for v in demand.desired_views}
-    delivery = view_trees(tree, demand)   # transmitted view -> its arcs
+    delivery = view_masks(tree, demand)   # transmitted view -> mask of its arcs
     active = sorted(demand.desired_views)   # transmitted views, ascending
     sources = set()
 
-    cost = sum(len(arcs) for arcs in delivery.values())
+    cost = sum(arcs.bit_count() for arcs in delivery.values())
     if cost != evaluate_cost(tree, demand, theta):
         raise SolverError("delivery trees disagree with the cost functional")
     history = [cost]
@@ -53,8 +54,8 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
             # w is no source, so only its own subscribers receive it and
             # moving them to (left, right) touches just these three trees
             tw = delivery[w]
-            u = (cost - len(tw) + len(tw - delivery[left])
-                 + len(tw - delivery[right]))
+            u = (cost - tw.bit_count() + (tw & ~delivery[left]).bit_count()
+                 + (tw & ~delivery[right]).bit_count())
             if u < cost:
                 key = (u, w, right - left)
                 if best_key is None or key < best_key:

@@ -18,13 +18,16 @@ Three ways of pricing a synthesis step are supported:
                  already reaches synthesis clients of an earlier step.
 * ``per_view`` - like ``literal`` but summed per intermediate view,
                  double-counting arcs shared between their trees.
+
+Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
+popcount: |A - B| is ``(a & ~b).bit_count()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import INFEASIBLE, evaluate_cost, view_trees
+from .cost import INFEASIBLE, evaluate_cost, view_masks
 from .graphs import (DemandMap, Segment, ShortestPathTree, check_quality,
                      segment_views, transmitted_views, validate_selection)
 
@@ -41,7 +44,7 @@ class Variant:
     value: float
     d: int
     choice: tuple | None      # ("jump", column) or ("anchor", j)
-    anchor_tree: frozenset    # arcs carrying this column's view so far
+    anchor_tree: int          # mask of arcs carrying this column's view so far
 
 
 @dataclass
@@ -86,30 +89,27 @@ def _check_mode(mode):
     return mode
 
 
-def _phi(mode, trees, between_desired, joint_tree, anchor_view, k_view, anchor_tree):
+def _phi(mode, masks, between_desired, joint, anchor_view, k_view, anchor_tree):
     """Price of pushing the anchor view and v_k to the clients of the
-    desired views between them (joint_tree is their path union)."""
+    desired views between them (joint is their path union)."""
     if not between_desired:
         return 0
-    t_anchor = trees.get(anchor_view, frozenset())
-    t_k = trees.get(k_view, frozenset())
-    if mode == "literal":
-        return len(joint_tree - t_anchor) + len(joint_tree - t_k)
+    m_k = masks.get(k_view, 0)
     if mode == "per_view":
-        total = 0
-        for v in between_desired:
-            tv = trees[v]
-            total += len(tv - t_anchor) + len(tv - t_k)
-        return total
-    return len(joint_tree - anchor_tree) + len(joint_tree - t_k)
+        m_a = masks.get(anchor_view, 0)
+        return sum((masks[v] & ~m_a).bit_count() + (masks[v] & ~m_k).bit_count()
+                   for v in between_desired)
+    base = masks.get(anchor_view, 0) if mode == "literal" else anchor_tree
+    return (joint & ~base).bit_count() + (joint & ~m_k).bit_count()
 
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
-                  D: int, mode: str = "exact", trees=None) -> tuple:
-    """Fill the DP table for one segment; returns (cost, theta, table)."""
+                  D: int, mode: str = "exact", masks=None) -> tuple:
+    """Fill the DP table for one segment; returns (cost, theta, table).
+    `masks` is `view_masks(tree, demand)`, computed here when omitted."""
     _check_mode(mode)
-    if trees is None:
-        trees = view_trees(tree, demand)
+    if masks is None:
+        masks = view_masks(tree, demand)
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     prev_desired = {}
@@ -123,8 +123,8 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
     for k in range(m, M + 1):
         col = {}
         if k == m:
-            t = trees.get(m, frozenset())
-            col[0] = Variant(len(t), 0, None, t)
+            t = masks.get(m, 0)
+            col[0] = Variant(t.bit_count(), 0, None, t)
             table.columns[k] = col
             continue
         # variant 0: v_k extends a shorter prefix without synthesizing
@@ -135,34 +135,38 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 val = table.minimum(kp)
                 if val < best_val:
                     best_val, best_col = val, kp
-            tk = trees[k]
+            tk = masks[k]
             if best_col is None:
                 col[0] = Variant(INFEASIBLE, 0, None, tk)
             else:
-                col[0] = Variant(best_val + len(tk), 0, ("jump", best_col), tk)
+                col[0] = Variant(best_val + tk.bit_count(), 0,
+                                 ("jump", best_col), tk)
         else:
-            col[0] = Variant(INFEASIBLE, 0, None, frozenset())
-        # variants d >= 2: anchor pair (v_{k-d}, v_k) synthesizes E_d
+            col[0] = Variant(INFEASIBLE, 0, None, 0)
+        # variants d >= 2: anchor pair (v_{k-d}, v_k) synthesizes E_d;
+        # E_d and its path union grow by view a+1 as d grows
+        between, joint = [], 0
+        ck = masks[k].bit_count() if k in desired else 0
         for d in range(2, min(D, k - m) + 1):
             a = k - d
-            between = [v for v in range(a + 1, k) if v in desired]
+            if a + 1 in desired:
+                between.append(a + 1)
+                joint |= masks[a + 1]
             if not between and k not in desired:
-                col[d] = Variant(INFEASIBLE, d, None, frozenset())
+                col[d] = Variant(INFEASIBLE, d, None, 0)
                 continue
-            joint = frozenset().union(*(trees[v] for v in between)) if between else frozenset()
-            ck = len(trees[k]) if k in desired else 0
             best = None
             for j, var in sorted(table.columns[a].items()):
                 if var.value == INFEASIBLE:
                     continue
-                cand = var.value + ck + _phi(mode, trees, between, joint,
+                cand = var.value + ck + _phi(mode, masks, between, joint,
                                              a, k, var.anchor_tree)
                 if best is None or cand < best[0]:
                     best = (cand, j)
             if best is None:
-                col[d] = Variant(INFEASIBLE, d, None, frozenset())
+                col[d] = Variant(INFEASIBLE, d, None, 0)
             else:
-                new_tree = trees.get(k, frozenset()) | joint
+                new_tree = masks.get(k, 0) | joint
                 col[d] = Variant(best[0], d, ("anchor", best[1]), new_tree)
         table.columns[k] = col
 
@@ -212,12 +216,12 @@ def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
     """Optimal non-crossing view selection over all segments."""
     check_quality(D)
     _check_mode(mode)
-    trees = view_trees(tree, demand)
+    masks = view_masks(tree, demand)
     total = 0
     theta = {}
     per_segment = []
     for seg in segment_views(demand, D):
-        value, th, _ = solve_segment(tree, demand, seg, D, mode, trees)
+        value, th, _ = solve_segment(tree, demand, seg, D, mode, masks)
         total += value
         theta.update(th)
         per_segment.append((seg, value))

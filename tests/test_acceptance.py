@@ -22,7 +22,7 @@ from mmds import (DemandMap, ShortestPathTree, brute_force_emmds,
                   brute_force_mmds, evaluate_cost, h_solve, omds,
                   parse_topology, segment_views, solve_d2, solve_d3,
                   solve_extended, solve_general, solve_segment)
-from mmds.cost import view_trees
+from mmds.cost import view_masks
 from mmds.cli import ScenarioConfig, run_scenario
 from mmds.instances import demo_instance
 from mmds.oracle import OracleGuardError
@@ -100,7 +100,7 @@ def test_criterion_1_golden_instance():
 
     seg = segment_views(demand, 4)[0]
     _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                view_trees(tree, demand))
+                                view_masks(tree, demand))
     minima = {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)}
     assert minima == DEMO_COLUMN_MINIMA
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 import csv
 import io
+from importlib.resources import files
 
 import pytest
 
@@ -8,7 +9,9 @@ from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
 from mmds.instances import DEMO_DEMAND, demo_graph
 from mmds.mmdea import SolverError
-from mmds.workload import write_edges
+from mmds.workload import generate_topology, write_edges
+
+KDL_PATH = str(files("mmds.data") / "kdl_754_895.gml")
 
 
 @pytest.fixture
@@ -20,22 +23,38 @@ def demo_files(tmp_path):
     return str(topo), str(dem)
 
 
-@pytest.fixture
-def broken_mmdea(monkeypatch):
-    """Make the mmdea solver fail its internal consistency check."""
+def break_mmdea(monkeypatch, exc):
+    """Make the mmdea solver raise `exc` whenever the CLI runs it."""
     real = cli.run_solver
 
     def run_solver(name, *args):
         if name == "mmdea":
-            raise SolverError("table is corrupt")
+            raise exc
         return real(name, *args)
     monkeypatch.setattr(cli, "run_solver", run_solver)
+
+
+@pytest.fixture
+def broken_mmdea(monkeypatch):
+    """Make the mmdea solver fail its internal consistency check."""
+    break_mmdea(monkeypatch, SolverError("table is corrupt"))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_demo_csv(capsys, tmp_path):
+    """`mmds run --preset demo` with omds and mmdea into a CSV file;
+    returns the exit code, stderr and the sample row of each solver."""
+    path = tmp_path / "rows.csv"
+    code, _, err = run_cli(capsys, "run", "--preset", "demo", "--d", "4",
+                           "--solver", "omds,mmdea", "--out", str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, err, {r["solver"]: r for r in rows if r["sample"] == "0"}
 
 
 class TestSolveCommand:
@@ -102,17 +121,52 @@ class TestRunCommand:
 
     def test_solver_error_becomes_error_row(self, tmp_path, broken_mmdea,
                                             capsys):
-        path = tmp_path / "rows.csv"
-        code, _, _ = run_cli(capsys, "run", "--preset", "demo", "--d", "4",
-                             "--solver", "omds,mmdea", "--out", str(path))
+        code, _, by_solver = run_demo_csv(capsys, tmp_path)
         assert code == 3
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        by_solver = {r["solver"]: r for r in rows if r["sample"] == "0"}
         assert by_solver["omds"]["status"] == "ok"
         assert by_solver["omds"]["total_bandwidth"] == "45"
         assert by_solver["mmdea"]["status"] == "error"
         assert by_solver["mmdea"]["error"] == "SolverError: table is corrupt"
+
+    def test_unexpected_exception_becomes_error_row(self, tmp_path,
+                                                    monkeypatch, capsys):
+        break_mmdea(monkeypatch, KeyError("view 7"))
+        code, err, by_solver = run_demo_csv(capsys, tmp_path)
+        assert code == 3 and err == ""
+        assert by_solver["omds"]["total_bandwidth"] == "45"
+        assert by_solver["mmdea"]["status"] == "error"
+        assert by_solver["mmdea"]["error"] == "KeyError: 'view 7'"
+
+    def test_unexpected_exception_in_a_worker_sample(self, monkeypatch):
+        # _run_sample is what each pool worker runs
+        break_mmdea(monkeypatch, KeyError("view 7"))
+        cfg = ScenarioConfig(gen=(30, 40), views=5, clients=6, d=2,
+                             solvers=("omds", "mmdea"), samples=1, seed=1)
+        rows = cli._run_sample((cfg, generate_topology(30, 40, seed=1), 0))
+        omds_row, mmdea_row = rows
+        assert omds_row["status"] == "ok" and not omds_row.get("fault")
+        assert mmdea_row["status"] == "error" and mmdea_row["fault"]
+        assert mmdea_row["error"] == "KeyError: 'view 7'"
+
+    def test_refusals_do_not_fail_the_run(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--gen", "40,50", "--views", "30",
+                               "--clients", "35", "--d", "2", "--samples", "1",
+                               "--seed", "3", "--solver", "oracle")
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["status"] == "error" and row["error"].startswith("segment span")
+
+    def test_zero_samples_prints_only_the_header(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--topology", KDL_PATH,
+                               "--samples", "0")
+        assert code == 0
+        assert out.splitlines() == [",".join(CSV_COLUMNS)]
+
+    def test_zero_clients_aborts_the_run(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--topology", KDL_PATH,
+                                 "--clients", "0", "--samples", "2")
+        assert code == 1
+        assert out == "" and err == "error: no desired views\n"
 
     def test_deterministic_modulo_runtime(self, tmp_path, capsys):
         args = ["run", "--gen", "60,80", "--views", "6", "--clients", "10",

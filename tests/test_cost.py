@@ -1,12 +1,17 @@
 
 
+import random
+from importlib.resources import files
+
 import pytest
 
-from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, direct_cost,
-                  edge_view_loads, evaluate_cost, expansion_cost,
-                  identity_selection, subscriber_tree)
-from mmds.cost import cost_of_parts
+from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
+                  direct_cost, edge_view_loads, evaluate_cost, expansion_cost,
+                  identity_selection, parse_topology, sample_demand,
+                  solve_general, subscriber_tree, view_trees)
+from mmds.cost import cost_of_parts, view_masks
 from mmds.instances import demo_instance
+from mmds.workload import DemandDistribution
 
 from conftest import random_tree_instance
 
@@ -156,3 +161,39 @@ class TestCostOfParts:
         tree, demand = demo_instance()
         # only the view-2 client participates
         assert cost_of_parts(tree, demand, {2: (2, 2)}) == 7
+
+
+class TestViewMasks:
+    @staticmethod
+    def assert_masks_match_trees(tree, demand):
+        masks, trees = view_masks(tree, demand), view_trees(tree, demand)
+        assert masks.keys() == trees.keys()
+        for a in trees:
+            assert masks[a].bit_count() == len(trees[a])
+            for b in trees:
+                assert (masks[a] & ~masks[b]).bit_count() == len(trees[a] - trees[b])
+
+    def test_demo(self):
+        self.assert_masks_match_trees(*demo_instance())
+
+    def test_random_trees(self, rng):
+        for _ in range(200):
+            self.assert_masks_match_trees(*random_tree_instance(rng))
+
+    def test_bundled_topology(self):
+        graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+        nodes = sorted(n for n in graph.nodes if n != graph.server)
+        clients = random.Random(2024).sample(nodes, 400)
+        demand = sample_demand(DemandDistribution("uniform", 12), clients, seed=5)
+        self.assert_masks_match_trees(build_spt(graph, clients), demand)
+
+    def test_deep_path_needs_no_recursion(self):
+        # a 5,000-arc path: far deeper than Python's default recursion limit
+        n = 5000
+        tree = ShortestPathTree(0, {i: i - 1 for i in range(1, n + 1)},
+                                [n, n // 2, n // 4])
+        demand = DemandMap({n: 1, n // 2: 2, n // 4: 3}, 3)
+        masks = view_masks(tree, demand)
+        assert [masks[v].bit_count() for v in (1, 2, 3)] == [n, n // 2, n // 4]
+        # view 1 already covers view 2's client; view 3 stretches to it
+        assert solve_general(tree, demand, 2).total == n + n // 2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from mmds import (DemandMap, ShortestPathTree, brute_force_mmds,
                   evaluate_cost, identity_selection, omds, segment_views,
                   solve_d2, solve_d3, solve_general, solve_segment)
-from mmds.cost import view_trees
+from mmds.cost import view_masks
 from mmds.instances import demo_instance
 from mmds.mmdea import SolverError, backtrack
 
@@ -45,7 +45,7 @@ class TestDemoGolden:
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
         _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_trees(tree, demand))
+                                    view_masks(tree, demand))
         got = {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)}
         assert got == DEMO_COLUMN_MINIMA
 
@@ -226,7 +226,7 @@ class TestBacktrack:
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
         _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_trees(tree, demand))
+                                    view_masks(tree, demand))
         assert backtrack(table) == THETA_STAR
 
     def test_all_direct_optimum_is_identity(self):
@@ -239,7 +239,7 @@ class TestBacktrack:
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
         _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_trees(tree, demand))
+                                    view_masks(tree, demand))
         victim = table.best(8)[1]
         table.columns[8 - victim.d].pop(victim.choice[1])
         with pytest.raises(SolverError, match="dangling"):
