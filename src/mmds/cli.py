@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +99,21 @@ def _echo(config: ScenarioConfig):
     }
 
 
-def _run_sample(args):
+def _client_candidates(graph):
+    """The nodes a sample may place clients on, sorted by `repr`."""
+    return sorted((n for n in graph.nodes if n != graph.server), key=repr)
+
+
+def _run_sample(args, candidates=None):
+    """Rows of one sample; `args` is (config, graph, index) and
+    `candidates` is `_client_candidates(graph)`, computed when omitted."""
     config, graph, index = args
     if config.clients < 1:
         raise ValueError("no desired views")
     ss = np.random.SeedSequence(config.seed, spawn_key=(index,))
     rng = np.random.default_rng(ss)
-    candidates = sorted((n for n in graph.nodes if n != graph.server), key=repr)
+    if candidates is None:
+        candidates = _client_candidates(graph)
     if config.clients > len(candidates):
         raise ValueError(f"cannot place {config.clients} clients on "
                          f"{len(candidates)} non-server nodes")
@@ -118,6 +127,20 @@ def _run_sample(args):
     for solver in config.solvers:
         rows.append(_solver_row(base, solver, tree, demand, config.d, config.phi))
     return rows
+
+
+# A pool worker's graph and client candidates, set once by _init_worker.
+_worker = {}
+
+
+def _init_worker(graph, candidates):
+    _worker.update(graph=graph, candidates=candidates)
+
+
+def _run_pooled_sample(args):
+    """Rows of one sample in a pool worker; `args` is (config, index)."""
+    config, index = args
+    return _run_sample((config, _worker["graph"], index), _worker["candidates"])
 
 
 def _solver_row(base, solver, tree, demand, D, phi):
@@ -164,13 +187,20 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
                                largest_component=config.largest_component)
     else:
         raise ValueError("scenario needs --topology, --gen or --preset")
-    tasks = [(config, graph, i) for i in range(config.samples)]
+    candidates = _client_candidates(graph)
     workers = min(os.cpu_count() or 1, config.samples)
     if workers > 1 and config.samples > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(pool.map(_run_sample, tasks))
+        # each worker receives the graph once; a task is (config, index),
+        # handed out about four chunks per worker so uneven samples balance
+        chunk = max(1, config.samples // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(graph, candidates)) as pool:
+            per_sample = list(pool.map(
+                _run_pooled_sample,
+                [(config, i) for i in range(config.samples)], chunksize=chunk))
     else:
-        per_sample = [_run_sample(t) for t in tasks]
+        per_sample = [_run_sample((config, graph, i), candidates)
+                      for i in range(config.samples)]
     rows = [row for sample in per_sample for row in sample]
     return rows + _mean_rows(rows, _echo(config))
 
@@ -258,6 +288,9 @@ def _cmd_run(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenProcessPool as exc:
+        print(f"error: worker pool failed: {exc}", file=sys.stderr)
+        return 3
     if args.out and args.out != "-":
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_csv(rows, fh)

@@ -2,6 +2,10 @@
 single view, and the expansion cost of extending two source views to the
 clients of the views synthesized between them.
 
+Arc sets are int bitmasks over the tree's arc numbering (bit i is
+`tree.arc_list[i]`), built from `ShortestPathTree.path_mask`; arcs are
+decoded into frozensets only where a function returns them.
+
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.
 """
@@ -13,53 +17,39 @@ from math import inf as INFEASIBLE  # noqa: N811  (absorbing sentinel)
 from .graphs import DemandMap, ShortestPathTree, validate_selection
 
 
+def view_masks(tree: ShortestPathTree, demand: DemandMap) -> dict:
+    """Map each desired view to its view tree as an int bitmask, the OR of
+    its subscribers' `tree.path_mask`, so that |A - B| is
+    `(a & ~b).bit_count()`."""
+    path_mask = tree.path_mask
+    out = {}
+    for t, v in demand.demand.items():
+        out[v] = out.get(v, 0) | path_mask[t]
+    return out
+
+
 def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
     """Map each desired view to the union of its subscribers' root paths."""
-    out = {}
+    return {v: tree.arcs_of(m) for v, m in view_masks(tree, demand).items()}
+
+
+def _subscriber_mask(tree: ShortestPathTree, demand: DemandMap, views) -> int:
+    views = set(views)
+    mask = 0
     for t, v in demand.demand.items():
-        if v in out:
-            out[v] = out[v] | tree.path_arcs[t]
-        else:
-            out[v] = set(tree.path_arcs[t])
-    return {v: frozenset(a) for v, a in out.items()}
-
-
-def view_masks(tree: ShortestPathTree, demand: DemandMap) -> dict:
-    """`view_trees` as int bitmasks, one bit per arc on a subscriber's
-    root path, so that |A - B| is `(a & ~b).bit_count()`.
-
-    Arcs are numbered as the walk meets them; a node's path mask is its
-    parent's mask plus the bit of its own arc, computed once per node.
-    """
-    path = {tree.root: 0}
-    out = {}
-    for t, v in demand.demand.items():
-        climb = []
-        n = t
-        while n not in path:
-            climb.append(n)
-            n = tree.parents[n]
-        mask = path[n]
-        for n in reversed(climb):
-            mask |= 1 << (len(path) - 1)
-            path[n] = mask
-        out[v] = out.get(v, 0) | mask
-    return out
+        if v in views:
+            mask |= tree.path_mask[t]
+    return mask
 
 
 def subscriber_tree(tree: ShortestPathTree, demand: DemandMap, views) -> frozenset:
     """Union of root paths over terminals whose desired view is in `views`."""
-    arcs = set()
-    views = set(views)
-    for t, v in demand.demand.items():
-        if v in views:
-            arcs |= tree.path_arcs[t]
-    return frozenset(arcs)
+    return tree.arcs_of(_subscriber_mask(tree, demand, views))
 
 
 def direct_cost(tree: ShortestPathTree, demand: DemandMap, view: int) -> int:
     """Cost of multicasting `view` to exactly its subscribers (0 if none)."""
-    return len(subscriber_tree(tree, demand, {view}))
+    return _subscriber_mask(tree, demand, {view}).bit_count()
 
 
 def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
@@ -74,30 +64,33 @@ def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
     bad = [v for v in between if not (left < v < right)]
     if bad:
         raise ValueError(f"views {sorted(bad)} are not strictly between {left} and {right}")
-    mid = subscriber_tree(tree, demand, between)
+    mid = _subscriber_mask(tree, demand, between)
     if not mid:
         return 0
-    tl = subscriber_tree(tree, demand, {left})
-    tr = subscriber_tree(tree, demand, {right})
-    return len(mid - tl) + len(mid - tr)
+    tl = _subscriber_mask(tree, demand, {left})
+    tr = _subscriber_mask(tree, demand, {right})
+    return (mid & ~tl).bit_count() + (mid & ~tr).bit_count()
 
 
-def _need_sets(demand: DemandMap, theta):
-    """Per-terminal set of views the terminal must receive under theta."""
-    needs = {}
-    for t, v in demand.demand.items():
-        l, r = theta[v]
-        needs[t] = {l, r}
-    return needs
+def _delivery_masks(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
+    """Each transmitted view's delivery tree as a mask: the union of the
+    root paths of the terminals that receive it.  Only terminals whose
+    desired view is in theta participate."""
+    trees = {}
+    for v, mask in view_masks(tree, demand).items():
+        if v in theta:
+            for w in set(theta[v]):
+                trees[w] = trees.get(w, 0) | mask
+    return trees
 
 
 def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
     """Views carried on each arc: the union of need-sets of all terminals
     whose root path crosses the arc."""
     loads = {}
-    for t, need in _need_sets(demand, theta).items():
-        for arc in tree.path_arcs[t]:
-            loads.setdefault(arc, set()).update(need)
+    for w, mask in _delivery_masks(tree, demand, theta).items():
+        for arc in tree.arcs_of(mask):
+            loads.setdefault(arc, set()).add(w)
     return {a: frozenset(v) for a, v in loads.items()}
 
 
@@ -119,13 +112,4 @@ def cost_of_parts(tree: ShortestPathTree, demand: DemandMap, theta) -> int:
     the per-arc union sum because each transmitted view contributes one
     unit on every arc of the union of its receivers' paths.
     """
-    trees = {}
-    for t, v in demand.demand.items():
-        if v not in theta:
-            continue
-        for w in set(theta[v]):
-            if w in trees:
-                trees[w] |= tree.path_arcs[t]
-            else:
-                trees[w] = set(tree.path_arcs[t])
-    return sum(len(a) for a in trees.values())
+    return sum(m.bit_count() for m in _delivery_masks(tree, demand, theta).values())

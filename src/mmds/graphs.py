@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+
+# Maps the characters of bin() to the bytes 0 and 1, for itertools.compress.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def bfs_distances(adj, source) -> dict:
@@ -58,6 +63,15 @@ class NetworkGraph:
     def neighbors(self, n):
         return self._adj[n]
 
+    @cached_property
+    def spt_parents(self) -> dict:
+        """Each reachable non-server node's parent in every shortest-path
+        tree: its smallest-identifier neighbour one hop nearer the server.
+        Computed on first use, once per graph."""
+        dist = self.dist
+        return {n: min(m for m in self._adj[n] if dist[m] == d - 1)
+                for n, d in dist.items() if d}
+
     @property
     def node_count(self):
         return len(self.nodes)
@@ -83,8 +97,12 @@ class ShortestPathTree:
     """Rooted directed tree spanning the root and a set of terminal nodes.
 
     Arcs point away from the root.  Every non-root node has exactly one
-    parent and every terminal is reachable from the root; per-terminal
-    root paths are precomputed and immutable.
+    parent and every terminal is reachable from the root.  Arcs are
+    numbered as the walks up from the terminals meet them, each walk's new
+    arcs top-down: bit i of a mask stands for `arc_list[i]`.  `path_mask`
+    maps every node on a terminal's root path to the mask of that path,
+    which is its parent's mask plus its own arc's bit, computed once per
+    node.
     """
 
     def __init__(self, root, parents, terminals):
@@ -93,24 +111,40 @@ class ShortestPathTree:
         self.terminals = frozenset(terminals)
         if root in self.parents:
             raise ValueError("root must not have a parent")
-        self.path_arcs = {}
-        self.depth = {}
+        parents = self.parents
+        arc_list = []
+        path_mask = {root: 0}
         for t in self.terminals:
-            arcs = []
+            climb = []
             n = t
-            seen = {t}
-            while n != root:
-                if n not in self.parents:
+            while n not in path_mask:
+                if n not in parents:
                     raise ValueError(f"terminal {t!r} is not reachable from root {root!r}")
-                p = self.parents[n]
-                if p in seen:
+                climb.append(n)
+                if len(climb) > len(parents):  # some node repeats
+                    p = next(c for i, c in enumerate(climb) if c in climb[:i])
                     raise ValueError(f"cycle through node {p!r}")
-                arcs.append((p, n))
-                seen.add(p)
-                n = p
-            self.path_arcs[t] = frozenset(arcs)
-            self.depth[t] = len(arcs)
-        self.arcs = frozenset().union(*self.path_arcs.values()) if self.terminals else frozenset()
+                n = parents[n]
+            mask = path_mask[n]
+            for c in reversed(climb):
+                mask |= 1 << len(arc_list)
+                arc_list.append((parents[c], c))
+                path_mask[c] = mask
+        self.arc_list = arc_list
+        self.path_mask = path_mask
+        self.depth = {t: path_mask[t].bit_count() for t in self.terminals}
+        self.arcs = frozenset(arc_list)
+
+    def arcs_of(self, mask) -> frozenset:
+        """The arcs whose bits are set in `mask`."""
+        # bin() lists the bits highest first, so reversed, char i is bit i
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return frozenset(compress(self.arc_list, bits))
+
+    @cached_property
+    def path_arcs(self) -> dict:
+        """Each terminal's root path as a frozenset of arcs."""
+        return {t: self.arcs_of(self.path_mask[t]) for t in self.terminals}
 
     def __eq__(self, other):
         return (isinstance(other, ShortestPathTree)
@@ -126,23 +160,25 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     """Breadth-first shortest-path tree from the server to the terminals.
 
     Equal-distance parent candidates are broken by smallest node
-    identifier, so identical inputs always produce identical trees.
-    Branches that lead to no terminal are pruned.
+    identifier (`NetworkGraph.spt_parents`), so identical inputs always
+    produce identical trees.  Branches that lead to no terminal are pruned.
     """
     terminals = set(terminals)
     missing = terminals - graph.nodes
     if missing:
         raise ValueError(f"terminals not in graph: {sorted(missing, key=repr)}")
     dist = graph.dist
-    for t in sorted(terminals, key=repr):
-        if t not in dist:
-            raise ValueError(f"terminal {t!r} is unreachable from server {graph.server!r}")
+    unreachable = [t for t in terminals if t not in dist]
+    if unreachable:
+        raise ValueError(f"terminal {min(unreachable, key=repr)!r} is "
+                         f"unreachable from server {graph.server!r}")
     # walking up from the terminals visits only nodes on some root path
+    spt_parents = graph.spt_parents
     parents = {}
     for t in terminals:
         n = t
         while n != graph.server and n not in parents:
-            parents[n] = min(m for m in graph.neighbors(n) if dist[m] == dist[n] - 1)
+            parents[n] = spt_parents[n]
             n = parents[n]
     return ShortestPathTree(graph.server, parents, terminals)
 

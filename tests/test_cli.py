@@ -1,5 +1,7 @@
 import csv
 import io
+import multiprocessing
+import os
 from importlib.resources import files
 
 import pytest
@@ -223,6 +225,65 @@ class TestRunCommand:
     def test_bad_gen_spec(self, capsys):
         code, _, err = run_cli(capsys, "run", "--gen", "abc")
         assert code == 1 and "--gen" in err
+
+
+def strip_runtimes(rows):
+    return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
+
+
+def run_with_cpus(monkeypatch, config, cpus):
+    """run_scenario as on a machine with `cpus` cores: serial at 1, a
+    process pool of `cpus` workers above."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return run_scenario(config)
+
+
+class TestSerialAndPooledRuns:
+    @pytest.mark.parametrize("shape", [
+        dict(views=12, d=5, clients=400, solvers=("omds", "mmdea")),
+        dict(views=24, d=4, clients=400, dist="zipf:1",
+             solvers=("omds", "mmdea", "emmdea", "hmmdea")),
+    ], ids=["headline", "relaxed"])
+    def test_rows_agree_apart_from_runtime(self, monkeypatch, shape):
+        cfg = ScenarioConfig(topology=KDL_PATH, samples=6, seed=2024, **shape)
+        serial = run_with_cpus(monkeypatch, cfg, 1)
+        pooled = run_with_cpus(monkeypatch, cfg, 2)
+        assert len(serial) == 6 * len(shape["solvers"]) + len(shape["solvers"])
+        assert all(r["status"].startswith("ok") for r in serial)
+        assert strip_runtimes(pooled) == strip_runtimes(serial)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patched worker functions reach the pool only by fork")
+
+
+@fork_only
+class TestDeadPoolWorker:
+    ARGS = ("run", "--topology", KDL_PATH, "--clients", "20", "--samples", "6")
+
+    def run_pooled(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        return run_cli(capsys, *self.ARGS)
+
+    def test_worker_dying_mid_sample(self, monkeypatch, capsys):
+        real = cli._run_sample
+
+        def run_sample(args, candidates=None):
+            if args[2] == 3:
+                os._exit(1)
+            return real(args, candidates)
+        monkeypatch.setattr(cli, "_run_sample", run_sample)
+        code, out, err = self.run_pooled(monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: worker pool failed: ")
+        assert "Traceback" not in err
+
+    def test_worker_dying_in_its_initializer(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_init_worker", lambda *args: os._exit(1))
+        code, out, err = self.run_pooled(monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: worker pool failed: ")
 
 
 class TestParser:

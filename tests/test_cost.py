@@ -197,3 +197,63 @@ class TestViewMasks:
         assert [masks[v].bit_count() for v in (1, 2, 3)] == [n, n // 2, n // 4]
         # view 1 already covers view 2's client; view 3 stretches to it
         assert solve_general(tree, demand, 2).total == n + n // 2
+
+
+def reference_paths(tree):
+    """Each terminal's root path as a frozenset of arcs, by its own walk up
+    the parent pointers; shares no code with the path masks."""
+    paths = {}
+    for t in tree.terminals:
+        arcs, n = set(), t
+        while n != tree.root:
+            arcs.add((tree.parents[n], n))
+            n = tree.parents[n]
+        paths[t] = frozenset(arcs)
+    return paths
+
+
+class TestPathMasksAgainstReference:
+    """Decoded path masks and every functional built on them equal a
+    frozenset computation from per-terminal parent walks."""
+
+    @staticmethod
+    def assert_matches_reference(tree, demand, D):
+        paths = reference_paths(tree)
+        assert tree.arcs == frozenset().union(*paths.values())
+        assert tree.depth == {t: len(p) for t, p in paths.items()}
+        for t, path in paths.items():
+            assert tree.arcs_of(tree.path_mask[t]) == path
+        assert tree.path_arcs == paths
+
+        trees = {}
+        for t, v in demand.demand.items():
+            trees[v] = trees.get(v, frozenset()) | paths[t]
+        assert view_trees(tree, demand) == trees
+
+        full = [identity_selection(demand), solve_general(tree, demand, D).theta]
+        half = {v: full[1][v] for v in demand.desired_views[::2]}
+        for theta in (*full, half):
+            loads = {}
+            for t, v in demand.demand.items():
+                if v in theta:
+                    for arc in paths[t]:
+                        loads.setdefault(arc, set()).update(theta[v])
+            loads = {a: frozenset(views) for a, views in loads.items()}
+            assert cost_of_parts(tree, demand, theta) == \
+                sum(len(views) for views in loads.values())
+            assert edge_view_loads(tree, demand, theta) == loads
+
+    def test_demo(self):
+        self.assert_matches_reference(*demo_instance(), 4)
+
+    def test_random_trees(self, rng):
+        for _ in range(200):
+            self.assert_matches_reference(*random_tree_instance(rng), 3)
+
+    @pytest.mark.parametrize("clients", [400, 753])
+    def test_bundled_topology(self, clients):
+        graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+        nodes = sorted(n for n in graph.nodes if n != graph.server)
+        terms = random.Random(clients).sample(nodes, clients)
+        demand = sample_demand(DemandDistribution("uniform", 12), terms, seed=7)
+        self.assert_matches_reference(build_spt(graph, terms), demand, 5)
