@@ -4,18 +4,24 @@ intervals may cross: a desired view may pick any transmitted source pair
 lie strictly between l and r.
 
 The dynamic program sweeps the view columns of each segment keeping, per
-column, the set of reachable states.  A state records which views in the
-trailing window are transmitted together with the synthesis users each
-has accumulated, plus the views promised as future right sources.  A
-transmitted view retires - its full delivery tree is priced - once no
-later view can select it any more, so accumulated state values telescope
-to the true per-arc cost of the assembled selection.  Delivery trees are
-int bitmasks from ``cost.view_masks``.
+column, a dict from state ``(window, promises)`` to its best ``(value,
+back)``.  ``window`` holds a ``(view, users)`` pair per transmitted view
+in the trailing window, in view order; ``promises`` a ``(r, users)`` pair
+per view promised as a future right source, in ``r`` order; ``users`` is
+an int with bit ``p`` set for each desired view ``p`` synthesized from
+that source.  A transmitted view retires - its full delivery tree is
+priced, memoised per segment on ``(view, users)`` - once no later view can
+select it, which makes it the window's first entry; so state values
+telescope to the true per-arc cost of the assembled selection.  ``back``
+is a cons cell ``(parent_back, (k, (l, r)))``, decoded into theta for the
+best final state only.  Delivery trees are ``cost.view_masks`` bitmasks.
+A segment is refused (``StateSpaceError``) past ``state_cap`` states in
+one column or ten times that summed over its columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache, partial
 
 from .cost import evaluate_cost, view_masks
 from .graphs import (DemandMap, ShortestPathTree, check_quality,
@@ -29,96 +35,89 @@ class StateSpaceError(RuntimeError):
     """Reachable state set exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
-class _State:
-    # window: tuple of (view, frozenset of user views), transmitted views only
-    window: tuple
-    promises: tuple
-    value: int
-    theta: tuple
-
-    def key(self):
-        return (self.window, self.promises)
-
-
-def _retire(view, users, masks, mode):
-    """Price a transmitted view once its user set is final."""
+def _retire(masks, mode, entry):
+    """Price a transmitted view once its user set (a view bitmask) is final;
+    ``entry`` is its ``(view, users)`` window pair."""
+    view, users = entry
     own = masks.get(view, 0)
-    if mode == "exact":
-        full = own
-        for p in users:
-            full |= masks[p]
-        return full.bit_count()
+    full, marginal = own, own.bit_count()
+    while users:
+        low = users & -users
+        users ^= low
+        user = masks[low.bit_length() - 1]
+        full |= user
+        marginal += (user & ~own).bit_count()
     # literal / per_view: closed-form marginals against the view's own tree
-    return own.bit_count() + sum((masks[p] & ~own).bit_count() for p in users)
+    return full.bit_count() if mode == "exact" else marginal
+
+
+def _promise(promises, r, bit):
+    """Add user bit ``bit`` to the promise for ``r``, keeping ``r`` order."""
+    for i, (q, users) in enumerate(promises):
+        if q == r:
+            return promises[:i] + ((r, users | bit),) + promises[i + 1:]
+        if q > r:
+            return promises[:i] + ((r, bit),) + promises[i:]
+    return promises + ((r, bit),)
 
 
 def _solve_segment(masks, desired, m, M, D, mode, cap):
-    states = {((), ()): _State((), (), 0, ())}
+    retire = cache(partial(_retire, masks, mode))
+    promise = cache(_promise)
+    states = {((), ()): (0, None)}
+    swept = 0
     for k in range(m, M + 1):
         nxt = {}
+        bit = 1 << k
 
-        def push(window, promises, value, theta):
+        def push(window, promises, value, back):
             # retire the view leaving the usable-left window
-            w_retire = k - D + 1
-            win = []
-            val = value
-            for w, users in window:
-                if w == w_retire:
-                    val += _retire(w, users, masks, mode)
-                else:
-                    win.append((w, users))
-            st = _State(tuple(win), tuple(sorted(promises)), val, theta)
-            old = nxt.get(st.key())
-            if old is None or st.value < old.value:
-                nxt[st.key()] = st
+            if window and window[0][0] == k - D + 1:
+                value += retire(window[0])
+                window = window[1:]
+            key = (window, promises)
+            old = nxt.get(key)
+            if old is None or value < old[0]:
+                nxt[key] = (value, back)
 
-        for st in states.values():
-            window = dict(st.window)
-            promises = dict(st.promises)
-            if k in promises:
-                users = promises.pop(k)
-                new_theta = st.theta + (((k, (k, k)),) if k in desired else ())
-                push(tuple(sorted(window.items())) + ((k, users),),
-                     tuple(promises.items()), st.value, new_theta)
-                continue
-            if k in desired:
+        for (window, promises), (value, back) in states.items():
+            if promises and promises[0][0] == k:
+                push(window + (promises[0],), promises[1:], value,
+                     (back, (k, (k, k))) if k in desired else back)
+            elif k in desired:
                 # direct transmission
-                push(tuple(sorted(window.items())) + ((k, frozenset()),),
-                     tuple(promises.items()), st.value,
-                     st.theta + ((k, (k, k)),))
+                push(window + ((k, 0),), promises, value, (back, (k, (k, k))))
                 # synthesis from a transmitted left and a promised right
-                for l in window:
-                    if l < k - D + 1:
-                        continue
+                for i, (l, users) in enumerate(window):
+                    w2 = window[:i] + ((l, users | bit),) + window[i + 1:]
                     for r in range(k + 1, min(M, l + D) + 1):
-                        w2 = dict(window)
-                        w2[l] = w2[l] | {k}
-                        p2 = dict(promises)
-                        p2[r] = p2.get(r, frozenset()) | {k}
-                        push(tuple(sorted(w2.items())), tuple(p2.items()),
-                             st.value, st.theta + ((k, (l, r)),))
+                        push(w2, promise(promises, r, bit), value,
+                             (back, (k, (l, r))))
             else:
                 # skip, or transmit speculatively as a future left source
-                push(tuple(sorted(window.items())), tuple(promises.items()),
-                     st.value, st.theta)
-                push(tuple(sorted(window.items())) + ((k, frozenset()),),
-                     tuple(promises.items()), st.value, st.theta)
-        if len(nxt) > cap:
+                push(window, promises, value, back)
+                push(window + ((k, 0),), promises, value, back)
+        swept += len(nxt)
+        if len(nxt) > cap or swept > 10 * cap:
             raise StateSpaceError(
-                f"{len(nxt)} states at column {k} exceed the cap {cap}; "
+                f"{len(nxt)} states at column {k} ({swept} since column {m}) "
+                f"exceed the cap {cap} ({10 * cap} per segment); "
                 "use a smaller D or raise state_cap")
         states = nxt
 
     best = None
-    for st in states.values():
-        if st.promises:
+    for (window, promises), (value, back) in states.items():
+        if promises:
             raise SolverError("promise outlived the final column")
-        val = st.value + sum(_retire(w, users, masks, mode)
-                             for w, users in st.window)
-        if best is None or val < best[0]:
-            best = (val, dict(st.theta))
-    return best
+        value += sum(retire(entry) for entry in window)
+        if best is None or value < best[0]:
+            best = (value, back)
+    value, back = best
+    picks = []
+    while back is not None:
+        back, pick = back
+        picks.append(pick)
+    return value, dict(reversed(picks))
 
 
 def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,

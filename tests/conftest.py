@@ -4,6 +4,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import strategies as st
 
 from mmds import DemandMap, ShortestPathTree
 
@@ -27,6 +28,25 @@ def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
     K = rng.randint(1, max_views)
     demand = DemandMap({t: rng.randint(1, K) for t in terms}, K, tree.terminals)
     return tree, demand
+
+
+@st.composite
+def small_instances(draw):
+    """Hypothesis strategy: a small random tree, demand on it and a D."""
+    n = draw(st.integers(3, 14))
+    chain_bias = draw(st.floats(0, 1))
+    parents = {}
+    for i in range(1, n):
+        parents[i] = i - 1 if draw(st.floats(0, 1)) < chain_bias \
+            else draw(st.integers(0, i - 1))
+    n_terms = draw(st.integers(1, min(6, n - 1)))
+    terms = draw(st.permutations(range(1, n)))[:n_terms]
+    K = draw(st.integers(1, 9))
+    views = draw(st.lists(st.integers(1, K), min_size=n_terms,
+                          max_size=n_terms))
+    tree = ShortestPathTree(0, parents, terms)
+    demand = DemandMap(dict(zip(terms, views)), K, tree.terminals)
+    return tree, demand, draw(st.integers(2, 5))
 
 
 def bfs_distances(adjacency, source):

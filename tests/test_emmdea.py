@@ -1,11 +1,18 @@
+import random
+from dataclasses import dataclass
+from importlib.resources import files
+
 import pytest
+from hypothesis import given, settings
 
 from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
-                  brute_force_emmds, solve_extended, solve_general,
-                  validate_selection)
+                  brute_force_emmds, build_spt, parse_topology, segment_views,
+                  solve_extended, solve_general, validate_selection)
+from mmds.cost import view_masks
 from mmds.instances import demo_instance
+from mmds.workload import DemandDistribution, sample_demand
 
-from conftest import random_tree_instance
+from conftest import random_tree_instance, small_instances
 
 
 def crossing_pays_instance():
@@ -87,3 +94,176 @@ class TestSolveExtended:
             tree, demand = random_tree_instance(rng, max_views=7)
             res = solve_extended(tree, demand, 3, mode="literal")
             assert res.total >= res.evaluated
+
+    def test_summed_states_refuse_a_long_segment(self):
+        # 24 desired views, one client each on its own leaf: no column holds
+        # more than 19 states, but the 24 columns sum to over 190, so at a
+        # cap of 19 only the per-segment budget (10 x the cap) can refuse
+        K = 24
+        tree = ShortestPathTree(0, {v: 0 for v in range(1, K + 1)},
+                                range(1, K + 1))
+        demand = DemandMap({v: v for v in range(1, K + 1)}, K)
+        assert solve_extended(tree, demand, 3, state_cap=40).total == K
+        with pytest.raises(StateSpaceError, match="smaller D") as refused:
+            solve_extended(tree, demand, 3, state_cap=19)
+        assert str(refused.value).startswith("19 states at column 13 "
+                                             "(194 since column 1)")
+
+
+# The sweep as it stood before user sets became view bitmasks and theta a
+# backpointer chain: one dataclass per state, frozenset user sets, the
+# window re-sorted and the theta tuple copied on every push.  Kept as the
+# reference the bitmask sweep must match exactly, ties and order included.
+
+@dataclass(frozen=True)
+class _RefState:
+    window: tuple
+    promises: tuple
+    value: int
+    theta: tuple
+
+    def key(self):
+        return (self.window, self.promises)
+
+
+def _ref_retire(view, users, masks, mode):
+    own = masks.get(view, 0)
+    if mode == "exact":
+        full = own
+        for p in users:
+            full |= masks[p]
+        return full.bit_count()
+    return own.bit_count() + sum((masks[p] & ~own).bit_count() for p in users)
+
+
+def _ref_segment(masks, desired, m, M, D, mode):
+    states = {((), ()): _RefState((), (), 0, ())}
+    for k in range(m, M + 1):
+        nxt = {}
+
+        def push(window, promises, value, theta):
+            w_retire = k - D + 1
+            win = []
+            val = value
+            for w, users in window:
+                if w == w_retire:
+                    val += _ref_retire(w, users, masks, mode)
+                else:
+                    win.append((w, users))
+            st = _RefState(tuple(win), tuple(sorted(promises)), val, theta)
+            old = nxt.get(st.key())
+            if old is None or st.value < old.value:
+                nxt[st.key()] = st
+
+        for st in states.values():
+            window = dict(st.window)
+            promises = dict(st.promises)
+            if k in promises:
+                users = promises.pop(k)
+                new_theta = st.theta + (((k, (k, k)),) if k in desired else ())
+                push(tuple(sorted(window.items())) + ((k, users),),
+                     tuple(promises.items()), st.value, new_theta)
+                continue
+            if k in desired:
+                push(tuple(sorted(window.items())) + ((k, frozenset()),),
+                     tuple(promises.items()), st.value,
+                     st.theta + ((k, (k, k)),))
+                for l in window:
+                    if l < k - D + 1:
+                        continue
+                    for r in range(k + 1, min(M, l + D) + 1):
+                        w2 = dict(window)
+                        w2[l] = w2[l] | {k}
+                        p2 = dict(promises)
+                        p2[r] = p2.get(r, frozenset()) | {k}
+                        push(tuple(sorted(w2.items())), tuple(p2.items()),
+                             st.value, st.theta + ((k, (l, r)),))
+            else:
+                push(tuple(sorted(window.items())), tuple(promises.items()),
+                     st.value, st.theta)
+                push(tuple(sorted(window.items())) + ((k, frozenset()),),
+                     tuple(promises.items()), st.value, st.theta)
+        states = nxt
+
+    best = None
+    for st in states.values():
+        assert not st.promises
+        val = st.value + sum(_ref_retire(w, users, masks, mode)
+                             for w, users in st.window)
+        if best is None or val < best[0]:
+            best = (val, dict(st.theta))
+    return best
+
+
+def reference_extended(tree, demand, D, mode):
+    """(total, theta items in order, per_segment) of the reference sweep."""
+    masks = view_masks(tree, demand)
+    total, theta, per_segment = 0, {}, []
+    for seg in segment_views(demand, D):
+        value, th = _ref_segment(masks, frozenset(seg.members), seg.lo,
+                                 seg.hi, D, mode)
+        total += value
+        theta.update(th)
+        per_segment.append((seg, value))
+    return total, list(theta.items()), per_segment
+
+
+def bundled_instance(dist, seed):
+    """400 clients on the bundled topology with demand drawn from `dist`."""
+    graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+    nodes = sorted(n for n in graph.nodes if n != graph.server)
+    clients = random.Random(seed).sample(nodes, 400)
+    return (build_spt(graph, clients),
+            sample_demand(dist, clients, seed=seed))
+
+
+MODES = ("exact", "literal", "per_view")
+
+
+class TestAgainstFrozensetReference:
+    def assert_matches(self, tree, demand, D, mode):
+        got = solve_extended(tree, demand, D, mode=mode)
+        assert (got.total, list(got.theta.items()), got.per_segment) == \
+            reference_extended(tree, demand, D, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_trees(self, rng, mode):
+        for _ in range(200):
+            tree, demand = random_tree_instance(rng)
+            for D in (2, 3, 4):
+                self.assert_matches(tree, demand, D, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_relaxed_shaped_bundled_instances(self, mode):
+        for seed in range(6):
+            tree, demand = bundled_instance(
+                DemandDistribution("zipf", 24, exponent=1.0), seed)
+            self.assert_matches(tree, demand, 4, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bundled_k12_d5(self, mode):
+        tree, demand = bundled_instance(DemandDistribution("uniform", 12),
+                                        2024)
+        self.assert_matches(tree, demand, 5, mode)
+
+
+SOLVERS = pytest.mark.parametrize("solve", [solve_general, solve_extended],
+                                  ids=["mmdea", "emmdea"])
+
+
+@SOLVERS
+@given(small_instances())
+@settings(max_examples=25, deadline=None)
+def test_reflecting_the_views_keeps_the_optimum(solve, inst):
+    tree, demand, D = inst
+    K = demand.universe_size
+    mirrored = DemandMap({t: K + 1 - v for t, v in demand.demand.items()}, K)
+    assert solve(tree, mirrored, D).total == solve(tree, demand, D).total
+
+
+@SOLVERS
+@given(small_instances())
+@settings(max_examples=25, deadline=None)
+def test_a_looser_quality_bound_never_costs_more(solve, inst):
+    tree, demand, D = inst
+    assert solve(tree, demand, D + 1).total <= solve(tree, demand, D).total

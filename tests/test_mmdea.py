@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mmds import (DemandMap, ShortestPathTree, brute_force_mmds,
                   evaluate_cost, identity_selection, omds, segment_views,
@@ -9,7 +8,7 @@ from mmds.cost import view_masks
 from mmds.instances import demo_instance
 from mmds.mmdea import SolverError, backtrack
 
-from conftest import random_tree_instance
+from conftest import random_tree_instance, small_instances
 
 THETA_STAR = {2: (2, 2), 3: (2, 4), 4: (4, 4), 6: (4, 8), 7: (4, 8), 8: (8, 8)}
 DEMO_COLUMN_MINIMA = {2: 7, 3: 14, 4: 17, 5: 19, 6: 19, 7: 28, 8: 32}
@@ -185,24 +184,6 @@ class TestSolveGeneral:
             solve_general(tree, demand, 4, mode="bogus")
         with pytest.raises(ValueError, match="quality"):
             solve_general(tree, demand, 1)
-
-
-@st.composite
-def small_instances(draw):
-    n = draw(st.integers(3, 14))
-    chain_bias = draw(st.floats(0, 1))
-    parents = {}
-    for i in range(1, n):
-        parents[i] = i - 1 if draw(st.floats(0, 1)) < chain_bias \
-            else draw(st.integers(0, i - 1))
-    n_terms = draw(st.integers(1, min(6, n - 1)))
-    terms = draw(st.permutations(range(1, n)))[:n_terms]
-    K = draw(st.integers(1, 9))
-    views = draw(st.lists(st.integers(1, K), min_size=n_terms,
-                          max_size=n_terms))
-    tree = ShortestPathTree(0, parents, terms)
-    demand = DemandMap(dict(zip(terms, views)), K, tree.terminals)
-    return tree, demand, draw(st.integers(2, 5))
 
 
 @given(small_instances())
