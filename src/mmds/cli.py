@@ -129,16 +129,24 @@ def _run_sample(args, candidates=None):
     return rows
 
 
-# A pool worker's graph and client candidates, set once by _init_worker.
+# A pool worker's graph and client candidates, set once by _init_worker,
+# or the exception that stopped it.
 _worker = {}
 
 
 def _init_worker(graph, candidates):
-    _worker.update(graph=graph, candidates=candidates)
+    # an initializer that raises makes every worker print a traceback, so
+    # the failure is kept and reported by the worker's first task instead
+    try:
+        _worker.update(graph=graph, candidates=candidates)
+    except Exception as exc:
+        _worker["error"] = exc
 
 
 def _run_pooled_sample(args):
     """Rows of one sample in a pool worker; `args` is (config, index)."""
+    if "error" in _worker:
+        raise BrokenProcessPool(f"worker initializer failed: {_worker['error']!r}")
     config, index = args
     return _run_sample((config, _worker["graph"], index), _worker["candidates"])
 

@@ -85,4 +85,5 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
     if sum(c for _, c in per_segment) != cost:
         raise SolverError("per-segment costs do not add up to the total")
     return HeuristicResult(cost, theta, transmitted_views(theta), per_segment,
-                           cost, "hmmdea", None, history, arc_views)
+                           cost, "hmmdea", round_costs=history,
+                           arc_views=arc_views)

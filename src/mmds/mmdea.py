@@ -21,6 +21,14 @@ Three ways of pricing a synthesis step are supported:
 
 Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
 popcount: |A - B| is ``(a & ~b).bit_count()``.
+
+An anchor variant's price splits in two.  The part that is the same for
+every predecessor variant j of the anchor column (v_k's own tree, and in
+exact mode |joint - m_k|; all of it in the other modes) is worked out once
+per variant.  Each finished column keeps its feasible variants ranked by
+(value, j), so a j-free price takes the head of the ranking, and exact
+mode walks it adding |joint - tree_j| and stops at the first value that
+alone exceeds the best price so far.  Equal prices go to the smallest j.
 """
 
 from __future__ import annotations
@@ -49,10 +57,14 @@ class Variant:
 
 @dataclass
 class CostTable:
-    """DP lattice of one segment: columns[k][d] holds variant d at column k."""
+    """DP lattice of one segment: columns[k][d] holds variant d at column k.
+    `cells` counts the variants filled and `prices` the exact-mode
+    popcounts against a predecessor variant's tree."""
     segment: Segment
     desired: frozenset
     columns: dict = field(default_factory=dict)
+    cells: int = 0
+    prices: int = 0
 
     def minimum(self, k):
         return min(v.value for v in self.columns[k].values())
@@ -72,6 +84,7 @@ class SolveResult:
     evaluated: int
     solver: str
     phi_mode: str | None = None
+    stats: dict = field(default_factory=dict)  # work counters; no CSV column
 
 
 def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
@@ -89,20 +102,6 @@ def _check_mode(mode):
     return mode
 
 
-def _phi(mode, masks, between_desired, joint, anchor_view, k_view, anchor_tree):
-    """Price of pushing the anchor view and v_k to the clients of the
-    desired views between them (joint is their path union)."""
-    if not between_desired:
-        return 0
-    m_k = masks.get(k_view, 0)
-    if mode == "per_view":
-        m_a = masks.get(anchor_view, 0)
-        return sum((masks[v] & ~m_a).bit_count() + (masks[v] & ~m_k).bit_count()
-                   for v in between_desired)
-    base = masks.get(anchor_view, 0) if mode == "literal" else anchor_tree
-    return (joint & ~base).bit_count() + (joint & ~m_k).bit_count()
-
-
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                   D: int, mode: str = "exact", masks=None) -> tuple:
     """Fill the DP table for one segment; returns (cost, theta, table).
@@ -112,63 +111,77 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
         masks = view_masks(tree, demand)
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
-    prev_desired = {}
-    last = None
-    for k in range(m, M + 1):
-        prev_desired[k] = last
-        if k in desired:
-            last = k
     table = CostTable(seg, desired)
+    # ranked[k]: (value, d, anchor_tree) of column k's feasible variants,
+    # ascending; d is unique per column, so value ties go to the smaller d
+    t = masks.get(m, 0)
+    table.columns[m] = {0: Variant(t.bit_count(), 0, None, t)}
+    ranked = {m: [(t.bit_count(), 0, t)]}
+    cells, prices = 1, 0
+    last = m  # nearest desired view below k
 
-    for k in range(m, M + 1):
+    for k in range(m + 1, M + 1):
         col = {}
-        if k == m:
-            t = masks.get(m, 0)
-            col[0] = Variant(t.bit_count(), 0, None, t)
-            table.columns[k] = col
-            continue
+        mk = masks.get(k, 0)
+        ck = mk.bit_count()
         # variant 0: v_k extends a shorter prefix without synthesizing
         if k in desired:
-            lo = max(m, prev_desired[k])
             best_val, best_col = INFEASIBLE, None
-            for kp in range(k - 1, lo - 1, -1):  # nearest predecessor wins ties
-                val = table.minimum(kp)
-                if val < best_val:
-                    best_val, best_col = val, kp
-            tk = masks[k]
+            for kp in range(k - 1, last - 1, -1):  # nearest predecessor wins ties
+                r = ranked[kp]
+                if r and r[0][0] < best_val:
+                    best_val, best_col = r[0][0], kp
             if best_col is None:
-                col[0] = Variant(INFEASIBLE, 0, None, tk)
+                col[0] = Variant(INFEASIBLE, 0, None, mk)
             else:
-                col[0] = Variant(best_val + tk.bit_count(), 0,
-                                 ("jump", best_col), tk)
+                col[0] = Variant(best_val + ck, 0, ("jump", best_col), mk)
         else:
             col[0] = Variant(INFEASIBLE, 0, None, 0)
         # variants d >= 2: anchor pair (v_{k-d}, v_k) synthesizes E_d;
         # E_d and its path union grow by view a+1 as d grows
         between, joint = [], 0
-        ck = masks[k].bit_count() if k in desired else 0
         for d in range(2, min(D, k - m) + 1):
             a = k - d
             if a + 1 in desired:
                 between.append(a + 1)
                 joint |= masks[a + 1]
-            if not between and k not in desired:
+            cands = ranked[a]
+            if not cands or (not between and k not in desired):
                 col[d] = Variant(INFEASIBLE, d, None, 0)
                 continue
-            best = None
-            for j, var in sorted(table.columns[a].items()):
-                if var.value == INFEASIBLE:
-                    continue
-                cand = var.value + ck + _phi(mode, masks, between, joint,
-                                             a, k, var.anchor_tree)
-                if best is None or cand < best[0]:
-                    best = (cand, j)
-            if best is None:
-                col[d] = Variant(INFEASIBLE, d, None, 0)
+            # a price that is the same for every predecessor variant j
+            # goes to the head of the ranking; exact mode adds |joint - tree_j|
+            head, j, _ = cands[0]
+            if not between:
+                price = head + ck
+            elif mode == "per_view":
+                m_a = masks.get(a, 0)
+                price = head + ck + sum(
+                    (masks[v] & ~m_a).bit_count() + (masks[v] & ~mk).bit_count()
+                    for v in between)
+            elif mode == "literal":
+                price = (head + ck + (joint & ~masks.get(a, 0)).bit_count()
+                         + (joint & ~mk).bit_count())
             else:
-                new_tree = masks.get(k, 0) | joint
-                col[d] = Variant(best[0], d, ("anchor", best[1]), new_tree)
+                # value order: once a stored value alone exceeds the best
+                # price, the popcount (>= 0) cannot bring a later one back
+                bv = INFEASIBLE
+                for value, dj, tj in cands:
+                    if value > bv:
+                        break
+                    c = value + (joint & ~tj).bit_count()
+                    prices += 1
+                    if c < bv or (c == bv and dj < j):
+                        bv, j = c, dj
+                price = bv + ck + (joint & ~mk).bit_count()
+            col[d] = Variant(price, d, ("anchor", j), mk | joint)
+        cells += len(col)
         table.columns[k] = col
+        ranked[k] = sorted((v.value, d, v.anchor_tree)
+                           for d, v in col.items() if v.value != INFEASIBLE)
+        if k in desired:
+            last = k
+    table.cells, table.prices = cells, prices
 
     value = table.minimum(M)
     if value == INFEASIBLE:
@@ -220,11 +233,14 @@ def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
     total = 0
     theta = {}
     per_segment = []
+    stats = {"cells": 0, "prices": 0}
     for seg in segment_views(demand, D):
-        value, th, _ = solve_segment(tree, demand, seg, D, mode, masks)
+        value, th, table = solve_segment(tree, demand, seg, D, mode, masks)
         total += value
         theta.update(th)
         per_segment.append((seg, value))
+        stats["cells"] += table.cells
+        stats["prices"] += table.prices
     issues = validate_selection(theta, demand, D)
     if issues:
         raise SolverError("backtracked selection is invalid: " + "; ".join(issues))
@@ -235,7 +251,7 @@ def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
         # literal/per_view only ever overcharge a step, never undercharge
         raise SolverError(f"{mode} DP value {total} below true cost {evaluated}")
     return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluated, "mmdea", mode)
+                       evaluated, "mmdea", mode, stats)
 
 
 def solve_d2(seg: Segment, tree: ShortestPathTree, demand: DemandMap,

@@ -2,11 +2,13 @@
 
 import random
 from collections import deque
+from importlib.resources import files
 
 import pytest
 from hypothesis import strategies as st
 
-from mmds import DemandMap, ShortestPathTree
+from mmds import DemandMap, ShortestPathTree, build_spt, parse_topology
+from mmds.workload import sample_demand
 
 
 def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
@@ -28,6 +30,15 @@ def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
     K = rng.randint(1, max_views)
     demand = DemandMap({t: rng.randint(1, K) for t in terms}, K, tree.terminals)
     return tree, demand
+
+
+def bundled_instance(dist, seed, clients=400):
+    """`clients` clients on the bundled topology with demand drawn from
+    `dist`."""
+    graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+    nodes = sorted(n for n in graph.nodes if n != graph.server)
+    picks = random.Random(seed).sample(nodes, clients)
+    return build_spt(graph, picks), sample_demand(dist, picks, seed=seed)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import csv
 import io
+import logging
 import multiprocessing
 import os
 from importlib.resources import files
@@ -284,6 +285,21 @@ class TestDeadPoolWorker:
         code, out, err = self.run_pooled(monkeypatch, capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
+
+    def test_initializer_raising(self, monkeypatch, capfd):
+        class Unwritable(dict):
+            def update(self, *args, **kwargs):
+                raise RuntimeError("graph did not arrive")
+        monkeypatch.setattr(cli, "_worker", Unwritable())
+        # a worker's log records reach stderr as they would outside pytest,
+        # not pytest's log capture
+        monkeypatch.setattr(logging.getLogger("concurrent.futures"),
+                            "propagate", False)
+        code, out, err = self.run_pooled(monkeypatch, capfd)
+        assert code == 3 and out == ""
+        assert err.startswith("error: worker pool failed: worker initializer "
+                              "failed: RuntimeError('graph did not arrive')")
+        assert "Traceback" not in err
 
 
 class TestParser:

@@ -1,18 +1,19 @@
-import random
 from dataclasses import dataclass
-from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
-                  brute_force_emmds, build_spt, parse_topology, segment_views,
-                  solve_extended, solve_general, validate_selection)
-from mmds.cost import view_masks
+                  brute_force_emmds, segment_views, solve_extended,
+                  solve_general, validate_selection)
+from mmds.cli import SOLVERS as SOLVER_NAMES
+from mmds.cli import run_solver
+from mmds.cost import view_masks, view_trees
 from mmds.instances import demo_instance
-from mmds.workload import DemandDistribution, sample_demand
+from mmds.workload import DemandDistribution
 
-from conftest import random_tree_instance, small_instances
+from conftest import bundled_instance, random_tree_instance, small_instances
 
 
 def crossing_pays_instance():
@@ -208,15 +209,6 @@ def reference_extended(tree, demand, D, mode):
     return total, list(theta.items()), per_segment
 
 
-def bundled_instance(dist, seed):
-    """400 clients on the bundled topology with demand drawn from `dist`."""
-    graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
-    nodes = sorted(n for n in graph.nodes if n != graph.server)
-    clients = random.Random(seed).sample(nodes, 400)
-    return (build_spt(graph, clients),
-            sample_demand(dist, clients, seed=seed))
-
-
 MODES = ("exact", "literal", "per_view")
 
 
@@ -267,3 +259,51 @@ def test_reflecting_the_views_keeps_the_optimum(solve, inst):
 def test_a_looser_quality_bound_never_costs_more(solve, inst):
     tree, demand, D = inst
     assert solve(tree, demand, D + 1).total <= solve(tree, demand, D).total
+
+
+def with_client(tree, demand, node, view, parent=None):
+    """The instance with one more client, at `node` (a new leaf under
+    `parent` when given) desiring `view`."""
+    parents = dict(tree.parents)
+    if parent is not None:
+        parents[node] = parent
+    terminals = tree.terminals | {node}
+    return (ShortestPathTree(tree.root, parents, terminals),
+            DemandMap({**demand.demand, node: view}, demand.universe_size,
+                      terminals))
+
+
+@SOLVERS
+@given(small_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_adding_a_client_never_lowers_the_optimum(solve, inst, data):
+    tree, demand, D = inst
+    nodes = sorted([tree.root, *tree.parents])
+    view = data.draw(st.integers(1, demand.universe_size))
+    free = [n for n in nodes if n not in tree.terminals]
+    if data.draw(st.booleans()) and free:
+        bigger = with_client(tree, demand, data.draw(st.sampled_from(free)), view)
+    else:
+        bigger = with_client(tree, demand, max(nodes) + 1, view,
+                             parent=data.draw(st.sampled_from(nodes)))
+    assert solve(*bigger, D).total >= solve(tree, demand, D).total
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_client_inside_its_view_tree_changes_nothing(inst, data):
+    tree, demand, D = inst
+    view = data.draw(st.sampled_from(demand.desired_views))
+    inside = view_masks(tree, demand)[view]
+    spots = sorted(n for n, path in tree.path_mask.items()
+                   if path and path & ~inside == 0 and n not in tree.terminals)
+    assume(spots)
+    tree2, demand2 = with_client(tree, demand, data.draw(st.sampled_from(spots)),
+                                 view)
+    # arcs are numbered as the terminal walks meet them, so compare arcs
+    assert view_trees(tree2, demand2) == view_trees(tree, demand)
+    for solver in SOLVER_NAMES:
+        for mode in MODES:
+            before = run_solver(solver, tree, demand, D, mode)
+            after = run_solver(solver, tree2, demand2, D, mode)
+            assert (after.total, after.theta) == (before.total, before.theta)

@@ -1,14 +1,18 @@
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from mmds import (DemandMap, ShortestPathTree, brute_force_mmds,
-                  evaluate_cost, identity_selection, omds, segment_views,
-                  solve_d2, solve_d3, solve_general, solve_segment)
+from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
+                  ShortestPathTree, brute_force_mmds, evaluate_cost,
+                  identity_selection, omds, segment_views, solve_d2, solve_d3,
+                  solve_general, solve_segment)
 from mmds.cost import view_masks
 from mmds.instances import demo_instance
-from mmds.mmdea import SolverError, backtrack
+from mmds.mmdea import PHI_MODES, SolverError, Variant, backtrack
 
-from conftest import random_tree_instance, small_instances
+from conftest import bundled_instance, random_tree_instance, small_instances
 
 THETA_STAR = {2: (2, 2), 3: (2, 4), 4: (4, 4), 6: (4, 8), 7: (4, 8), 8: (8, 8)}
 DEMO_COLUMN_MINIMA = {2: 7, 3: 14, 4: 17, 5: 19, 6: 19, 7: 28, 8: 32}
@@ -225,3 +229,170 @@ class TestBacktrack:
         table.columns[8 - victim.d].pop(victim.choice[1])
         with pytest.raises(SolverError, match="dangling"):
             backtrack(table)
+
+
+# The anchor loop as it stood before the price was split into a part that
+# is the same for every predecessor variant j and a popcount against j's
+# tree: every variant of column a is priced through _ref_phi, in j order.
+# Kept as the reference the value-ordered loop must match cell for cell.
+
+def _ref_phi(mode, masks, between_desired, joint, anchor_view, k_view,
+             anchor_tree):
+    if not between_desired:
+        return 0
+    m_k = masks.get(k_view, 0)
+    if mode == "per_view":
+        m_a = masks.get(anchor_view, 0)
+        return sum((masks[v] & ~m_a).bit_count() + (masks[v] & ~m_k).bit_count()
+                   for v in between_desired)
+    base = masks.get(anchor_view, 0) if mode == "literal" else anchor_tree
+    return (joint & ~base).bit_count() + (joint & ~m_k).bit_count()
+
+
+def reference_table(masks, seg, D, mode):
+    desired = frozenset(seg.members)
+    m, M = seg.lo, seg.hi
+    prev_desired = {}
+    last = None
+    for k in range(m, M + 1):
+        prev_desired[k] = last
+        if k in desired:
+            last = k
+    table = CostTable(seg, desired)
+    for k in range(m, M + 1):
+        col = {}
+        if k == m:
+            t = masks.get(m, 0)
+            col[0] = Variant(t.bit_count(), 0, None, t)
+            table.columns[k] = col
+            continue
+        if k in desired:
+            lo = max(m, prev_desired[k])
+            best_val, best_col = INFEASIBLE, None
+            for kp in range(k - 1, lo - 1, -1):
+                val = table.minimum(kp)
+                if val < best_val:
+                    best_val, best_col = val, kp
+            tk = masks[k]
+            if best_col is None:
+                col[0] = Variant(INFEASIBLE, 0, None, tk)
+            else:
+                col[0] = Variant(best_val + tk.bit_count(), 0,
+                                 ("jump", best_col), tk)
+        else:
+            col[0] = Variant(INFEASIBLE, 0, None, 0)
+        between, joint = [], 0
+        ck = masks[k].bit_count() if k in desired else 0
+        for d in range(2, min(D, k - m) + 1):
+            a = k - d
+            if a + 1 in desired:
+                between.append(a + 1)
+                joint |= masks[a + 1]
+            if not between and k not in desired:
+                col[d] = Variant(INFEASIBLE, d, None, 0)
+                continue
+            best = None
+            for j, var in sorted(table.columns[a].items()):
+                if var.value == INFEASIBLE:
+                    continue
+                cand = var.value + ck + _ref_phi(mode, masks, between, joint,
+                                                 a, k, var.anchor_tree)
+                if best is None or cand < best[0]:
+                    best = (cand, j)
+            if best is None:
+                col[d] = Variant(INFEASIBLE, d, None, 0)
+            else:
+                new_tree = masks.get(k, 0) | joint
+                col[d] = Variant(best[0], d, ("anchor", best[1]), new_tree)
+        table.columns[k] = col
+    return table
+
+
+def cells_of(table):
+    return {k: {d: (v.value, v.d, v.choice, v.anchor_tree)
+                for d, v in col.items()}
+            for k, col in table.columns.items()}
+
+
+class TestAgainstFullScanReference:
+    def assert_matches(self, tree, demand, D, mode):
+        masks = view_masks(tree, demand)
+        total, theta = 0, {}
+        for seg in segment_views(demand, D):
+            ref = reference_table(masks, seg, D, mode)
+            _, _, got = solve_segment(tree, demand, seg, D, mode, masks)
+            assert cells_of(got) == cells_of(ref)
+            total += ref.minimum(seg.hi)
+            theta.update(backtrack(ref))
+        res = solve_general(tree, demand, D, mode)
+        assert res.total == total
+        assert list(res.theta.items()) == list(theta.items())
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_random_trees(self, rng, mode):
+        for _ in range(200):
+            tree, demand = random_tree_instance(rng)
+            for D in range(2, 8):
+                self.assert_matches(tree, demand, D, mode)
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_wide_shaped_bundled_instance(self, mode):
+        # K=100, D=16, every non-server node a client
+        tree, demand = bundled_instance(DemandDistribution("uniform", 100),
+                                        2024, clients=753)
+        self.assert_matches(tree, demand, 16, mode)
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_relaxed_shaped_bundled_instance(self, mode):
+        tree, demand = bundled_instance(
+            DemandDistribution("zipf", 24, exponent=1.0), 2024)
+        self.assert_matches(tree, demand, 4, mode)
+
+
+@pytest.fixture
+def dp_cells(monkeypatch):
+    """`perfbench/layers.py::dp_cells`, the variant count the benchmark
+    derives from the segments alone."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    return importlib.import_module("layers").dp_cells
+
+
+def scanned_candidates(table, mode):
+    """Predecessor variants the full scan prices with a popcount: every
+    feasible variant of column k - d, for each anchor variant d with a
+    desired view between its anchors."""
+    if mode != "exact":
+        return 0
+    n = 0
+    for k, col in table.columns.items():
+        for d in col:
+            if d >= 2 and any(v in table.desired for v in range(k - d + 1, k)):
+                n += sum(var.value != INFEASIBLE
+                         for var in table.columns[k - d].values())
+    return n
+
+
+class TestSolveStats:
+    def test_cells_match_the_benchmark_formula(self, dp_cells):
+        tree, demand = demo_instance()
+        res = solve_general(tree, demand, 4)
+        assert res.stats["cells"] == dp_cells(segment_views(demand, 4), 4) == 19
+        tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024)
+        res = solve_general(tree, demand, 5)
+        assert res.stats["cells"] == dp_cells(segment_views(demand, 5), 5)
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_early_exit_prices_fewer_candidates(self, mode):
+        tree, demand = bundled_instance(DemandDistribution("uniform", 100),
+                                        2024, clients=753)
+        masks = view_masks(tree, demand)
+        scanned = prices = 0
+        for seg in segment_views(demand, 16):
+            _, _, table = solve_segment(tree, demand, seg, 16, mode, masks)
+            scanned += scanned_candidates(table, mode)
+            prices += table.prices
+        assert solve_general(tree, demand, 16, mode).stats["prices"] == prices
+        if mode == "exact":
+            assert 0 < prices < scanned
+        else:  # the whole price is the same for every predecessor variant
+            assert prices == 0
