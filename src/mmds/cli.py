@@ -260,6 +260,9 @@ def _cmd_solve(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # any other failure is a fault, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(f"solver: {result.solver}"
           + (f" (phi={result.phi_mode})" if result.phi_mode else ""))
     print(f"total bandwidth: {result.total}")

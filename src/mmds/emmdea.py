@@ -16,17 +16,17 @@ telescope to the true per-arc cost of the assembled selection.  ``back``
 is a cons cell ``(parent_back, (k, (l, r)))``, decoded into theta for the
 best final state only.  Delivery trees are ``cost.view_masks`` bitmasks.
 A segment is refused (``StateSpaceError``) past ``state_cap`` states in
-one column or ten times that summed over its columns.
+one column or ten times that summed over its columns.  The sweep runs
+per segment under ``mmdea.solve_by_segment``, which certifies the result.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
 
-from .cost import evaluate_cost, view_masks
-from .graphs import (DemandMap, ShortestPathTree, check_quality,
-                     segment_views, transmitted_views, validate_selection)
-from .mmdea import PHI_MODES, SolveResult, SolverError
+from .cost import view_masks
+from .graphs import DemandMap, ShortestPathTree
+from .mmdea import SolveResult, SolverError, solve_by_segment
 
 DEFAULT_STATE_CAP = 200_000
 
@@ -125,27 +125,9 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
                    state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
-    check_quality(D)
-    if mode not in PHI_MODES:
-        raise ValueError(f"phi mode must be one of {PHI_MODES}, got {mode!r}")
     masks = view_masks(tree, demand)
-    total = 0
-    theta = {}
-    per_segment = []
-    for seg in segment_views(demand, D):
-        desired = frozenset(seg.members)
-        value, th = _solve_segment(masks, desired, seg.lo, seg.hi, D, mode,
-                                   state_cap)
-        total += value
-        theta.update(th)
-        per_segment.append((seg, value))
-    issues = validate_selection(theta, demand, D, crossing_allowed=True)
-    if issues:
-        raise SolverError("relaxed selection invalid: " + "; ".join(issues))
-    evaluated = evaluate_cost(tree, demand, theta, D, crossing_allowed=True)
-    if mode == "exact" and evaluated != total:
-        raise SolverError(f"exact-mode cost {total} != re-evaluated {evaluated}")
-    if evaluated > total:
-        raise SolverError(f"{mode} value {total} below true cost {evaluated}")
-    return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluated, "emmdea", mode)
+    return solve_by_segment(
+        "emmdea", tree, demand, D,
+        lambda seg: _solve_segment(masks, frozenset(seg.members), seg.lo,
+                                   seg.hi, D, mode, state_cap),
+        mode, crossing_allowed=True)

@@ -4,7 +4,8 @@ transmitted view keeps its delivery tree (the arcs that carry it, as an
 int bitmask from ``cost.view_masks``), so a candidate is priced by its
 marginal change to those trees alone: three popcounts.  Only the
 strictly best improvement is committed per round, so the cost decreases
-monotonically and the loop terminates.
+monotonically and the loop terminates.  Rounds span all segments, so
+h_solve checks each round and segment itself, then ``mmdea.certify``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cost import cost_of_parts, edge_view_loads, evaluate_cost, view_masks
-from .graphs import (DemandMap, ShortestPathTree, check_quality,
-                     segment_views, transmitted_views, validate_selection)
-from .mmdea import SolveResult, SolverError
+from .graphs import DemandMap, ShortestPathTree, segment_views
+from .mmdea import SolveResult, SolverError, certify
 
 
 @dataclass
@@ -26,7 +26,6 @@ class HeuristicResult(SolveResult):
 def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
     """Improvement heuristic over transmitted views; the result always
     sits between the optimum and direct delivery."""
-    check_quality(D)
     segs = segment_views(demand, D)
     boundary = set()
     for seg in segs:
@@ -74,16 +73,13 @@ def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResul
             raise SolverError("committed cost diverged from the functional")
         history.append(cost)
 
-    issues = validate_selection(theta, demand, D)
-    if issues:
-        raise SolverError("heuristic selection invalid: " + "; ".join(issues))
-    loads = edge_view_loads(tree, demand, theta)
-    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arcs}
     per_segment = [(seg, cost_of_parts(tree, demand,
                                        {v: theta[v] for v in seg.members}))
                    for seg in segs]
     if sum(c for _, c in per_segment) != cost:
         raise SolverError("per-segment costs do not add up to the total")
-    return HeuristicResult(cost, theta, transmitted_views(theta), per_segment,
-                           cost, "hmmdea", round_costs=history,
+    result = certify("hmmdea", tree, demand, D, theta, cost, per_segment)
+    loads = edge_view_loads(tree, demand, result.theta)
+    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arcs}
+    return HeuristicResult(**vars(result), round_costs=history,
                            arc_views=arc_views)

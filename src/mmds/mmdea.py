@@ -22,6 +22,9 @@ Three ways of pricing a synthesis step are supported:
 Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
 popcount: |A - B| is ``(a & ~b).bit_count()``.
 
+``solve_by_segment``, the driver every solver and oracle shares, runs a
+per-segment search and hands the joined selection to ``certify``.
+
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
 exact mode |joint - m_k|; all of it in the other modes) is worked out once
@@ -35,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import INFEASIBLE, evaluate_cost, view_masks
-from .graphs import (DemandMap, Segment, ShortestPathTree, check_quality,
-                     segment_views, transmitted_views, validate_selection)
+from .cost import INFEASIBLE, cost_of_parts, view_masks
+from .graphs import (DemandMap, Segment, ShortestPathTree, segment_views,
+                     transmitted_views, validate_selection)
 
 PHI_MODES = ("literal", "exact", "per_view")
 
@@ -85,6 +88,44 @@ class SolveResult:
     solver: str
     phi_mode: str | None = None
     stats: dict = field(default_factory=dict)  # work counters; no CSV column
+
+
+def certify(name: str, tree: ShortestPathTree, demand: DemandMap, D: int,
+            theta: dict, total, per_segment: list, mode: str | None = None,
+            crossing_allowed=False, stats: dict | None = None) -> SolveResult:
+    """Check solver `name`'s selection and build its result.  The selection
+    must be valid for D, and `total` must equal its re-cost by
+    `cost_of_parts`, which unions the receivers' paths and shares no
+    solver's telescoped prices; literal and per_view prices may exceed the
+    re-cost, but no value may fall below it."""
+    issues = validate_selection(theta, demand, D, crossing_allowed)
+    if issues:
+        raise SolverError(f"{name} selection is invalid: " + "; ".join(issues))
+    evaluated = cost_of_parts(tree, demand, theta)
+    if total < evaluated:
+        raise SolverError(f"{name} value {total} below true cost {evaluated}")
+    if total != evaluated and mode not in ("literal", "per_view"):
+        raise SolverError(f"{name} value {total} != re-evaluated cost {evaluated}")
+    return SolveResult(total, theta, transmitted_views(theta), per_segment,
+                       evaluated, name, mode, {} if stats is None else stats)
+
+
+def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
+                     D: int, solve_one, mode: str | None = None,
+                     crossing_allowed: bool = False,
+                     stats: dict | None = None) -> SolveResult:
+    """Run `solve_one(seg) -> (value, theta)` on every maximal segment of
+    the desired views and `certify` the joined selection."""
+    if mode is not None:
+        _check_mode(mode)
+    total, theta, per_segment = 0, {}, []
+    for seg in segment_views(demand, D):
+        value, th = solve_one(seg)
+        total += value
+        theta.update(th)
+        per_segment.append((seg, value))
+    return certify(name, tree, demand, D, theta, total, per_segment, mode,
+                   crossing_allowed, stats)
 
 
 def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
@@ -164,14 +205,15 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                          + (joint & ~mk).bit_count())
             else:
                 # value order: once a stored value alone exceeds the best
-                # price, the popcount (>= 0) cannot bring a later one back
+                # price, the popcount (>= 0) cannot bring a later one back;
+                # anchor trees grow with d, so no later, smaller dj ties
                 bv = INFEASIBLE
                 for value, dj, tj in cands:
                     if value > bv:
                         break
                     c = value + (joint & ~tj).bit_count()
                     prices += 1
-                    if c < bv or (c == bv and dj < j):
+                    if c < bv:
                         bv, j = c, dj
                 price = bv + ck + (joint & ~mk).bit_count()
             col[d] = Variant(price, d, ("anchor", j), mk | joint)
@@ -227,31 +269,17 @@ def backtrack(table: CostTable) -> dict:
 def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
                   mode: str = "exact") -> SolveResult:
     """Optimal non-crossing view selection over all segments."""
-    check_quality(D)
-    _check_mode(mode)
     masks = view_masks(tree, demand)
-    total = 0
-    theta = {}
-    per_segment = []
     stats = {"cells": 0, "prices": 0}
-    for seg in segment_views(demand, D):
-        value, th, table = solve_segment(tree, demand, seg, D, mode, masks)
-        total += value
-        theta.update(th)
-        per_segment.append((seg, value))
+
+    def solve_one(seg):
+        value, theta, table = solve_segment(tree, demand, seg, D, mode, masks)
         stats["cells"] += table.cells
         stats["prices"] += table.prices
-    issues = validate_selection(theta, demand, D)
-    if issues:
-        raise SolverError("backtracked selection is invalid: " + "; ".join(issues))
-    evaluated = evaluate_cost(tree, demand, theta)
-    if mode == "exact" and evaluated != total:
-        raise SolverError(f"exact-mode cost {total} != re-evaluated cost {evaluated}")
-    if evaluated > total:
-        # literal/per_view only ever overcharge a step, never undercharge
-        raise SolverError(f"{mode} DP value {total} below true cost {evaluated}")
-    return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluated, "mmdea", mode, stats)
+        return value, theta
+
+    return solve_by_segment("mmdea", tree, demand, D, solve_one, mode,
+                            stats=stats)
 
 
 def solve_d2(seg: Segment, tree: ShortestPathTree, demand: DemandMap,

@@ -5,7 +5,9 @@ The non-crossing search space collapses to transmitted sets: a valid
 non-crossing selection is exactly a set F of transmitted views containing
 both segment boundaries with consecutive gaps <= D, where every desired
 view outside F maps to its enclosing consecutive pair in F.  The oracle
-enumerates F directly and never reuses the solvers' reasoning.
+enumerates F directly and never reuses the solvers' reasoning: each
+enumeration runs per segment under ``mmdea.solve_by_segment``, which holds
+no search reasoning, only the segment loop and the certificate.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import itertools
 
 from .cost import cost_of_parts, evaluate_cost
-from .graphs import (DemandMap, Segment, ShortestPathTree, check_quality,
-                     identity_selection, segment_views, transmitted_views)
-from .mmdea import SolveResult
+from .graphs import (DemandMap, Segment, ShortestPathTree, identity_selection,
+                     transmitted_views)
+from .mmdea import SolveResult, solve_by_segment
 
 MMDS_SPAN_GUARD = 22
 EMMDS_PRODUCT_GUARD = 10 ** 7
@@ -46,11 +48,7 @@ def _theta_for_fset(fset, members):
 
 def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
     """Exhaustive optimum of the non-crossing problem via transmitted sets."""
-    check_quality(D)
-    total = 0
-    theta = {}
-    per_segment = []
-    for seg in segment_views(demand, D):
+    def solve_one(seg):
         if seg.hi - seg.lo > MMDS_SPAN_GUARD:
             raise OracleGuardError(
                 f"segment span {seg.hi - seg.lo} exceeds the enumeration "
@@ -65,11 +63,9 @@ def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solve
             cost = cost_of_parts(tree, demand, cand)
             if best is None or cost < best[0]:
                 best = (cost, cand)
-        total += best[0]
-        theta.update(best[1])
-        per_segment.append((seg, best[0]))
-    return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluate_cost(tree, demand, theta), "oracle")
+        return best
+
+    return solve_by_segment("oracle", tree, demand, D, solve_one)
 
 
 def selection_options(v: int, seg: Segment, D: int) -> list:
@@ -84,11 +80,7 @@ def selection_options(v: int, seg: Segment, D: int) -> list:
 
 def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
     """Exhaustive optimum of the relaxed (crossing allowed) problem."""
-    check_quality(D)
-    total = 0
-    theta = {}
-    per_segment = []
-    for seg in segment_views(demand, D):
+    def solve_one(seg):
         options = {v: selection_options(v, seg, D) for v in seg.members}
         size = 1
         for opts in options.values():
@@ -112,9 +104,7 @@ def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solv
             cost = cost_of_parts(tree, demand, cand)
             if best is None or cost < best[0]:
                 best = (cost, cand)
-        total += best[0]
-        theta.update(best[1])
-        per_segment.append((seg, best[0]))
-    return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluate_cost(tree, demand, theta, D, crossing_allowed=True),
-                       "oracle-ext")
+        return best
+
+    return solve_by_segment("oracle-ext", tree, demand, D, solve_one,
+                            crossing_allowed=True)

@@ -1,0 +1,101 @@
+"""The certificate every solver and oracle result passes
+(`mmdea.certify`): the selection must be valid and its value must equal
+the independent re-cost, except that literal and per_view prices may
+overcharge; no value may fall below the re-cost."""
+
+import pytest
+
+from mmds import emmdea, hmmdea, mmdea, oracle
+from mmds.cli import run_solver
+from mmds.cost import cost_of_parts
+from mmds.instances import demo_instance
+from mmds.mmdea import SolverError
+
+D = 4
+SEARCH = {"mmdea": (mmdea, "solve_segment"),
+          "emmdea": (emmdea, "_solve_segment")}
+
+
+def misreport(monkeypatch, solver, delta):
+    """Make `solver`'s per-segment search report the true cost of the
+    selection it found plus `delta`; the oracles get the shift from the
+    `cost_of_parts` their enumeration prices candidates with."""
+    tree, demand = demo_instance()
+    if solver in SEARCH:
+        module, name = SEARCH[solver]
+        real = getattr(module, name)
+
+        def search(*args):
+            _, theta, *rest = real(*args)
+            return (cost_of_parts(tree, demand, theta) + delta, theta, *rest)
+    else:
+        module, name, real = oracle, "cost_of_parts", oracle.cost_of_parts
+
+        def search(*args):
+            return real(*args) + delta
+    monkeypatch.setattr(module, name, search)
+    return tree, demand
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("solver", ["mmdea", "emmdea", "oracle", "oracle-ext"])
+def test_an_exact_value_off_by_one_is_refused(monkeypatch, solver, delta):
+    tree, demand = misreport(monkeypatch, solver, delta)
+    with pytest.raises(SolverError, match=f"^{solver} value"):
+        run_solver(solver, tree, demand, D, "exact")
+
+
+@pytest.mark.parametrize("mode", ["literal", "per_view"])
+@pytest.mark.parametrize("solver", ["mmdea", "emmdea"])
+def test_a_closed_form_overcharge_passes(monkeypatch, solver, mode):
+    tree, demand = misreport(monkeypatch, solver, 1)
+    res = run_solver(solver, tree, demand, D, mode)
+    assert res.total == res.evaluated + 1 == 33
+    assert res.phi_mode == mode
+
+
+@pytest.mark.parametrize("mode", ["literal", "per_view"])
+@pytest.mark.parametrize("solver", ["mmdea", "emmdea"])
+def test_a_closed_form_undercharge_is_refused(monkeypatch, solver, mode):
+    tree, demand = misreport(monkeypatch, solver, -1)
+    with pytest.raises(SolverError,
+                       match=f"^{solver} value 31 below true cost 32"):
+        run_solver(solver, tree, demand, D, mode)
+
+
+def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
+    """h_solve checks every round and segment against its own delivery
+    trees.  Give the lowest view, a segment boundary that is never
+    replaced, an arc outside the tree, and shift those checks to match, so
+    that only the certificate sees the value is one too high."""
+    tree, demand = demo_instance()
+    low = demand.desired_views[0]
+    real_masks, real_eval = hmmdea.view_masks, hmmdea.evaluate_cost
+    real_parts = hmmdea.cost_of_parts
+
+    def view_masks(tree, demand):
+        masks = real_masks(tree, demand)
+        masks[low] |= 1 << len(tree.arc_list)
+        return masks
+    monkeypatch.setattr(hmmdea, "view_masks", view_masks)
+    monkeypatch.setattr(hmmdea, "evaluate_cost", lambda *args: real_eval(*args) + 1)
+    monkeypatch.setattr(hmmdea, "cost_of_parts",
+                        lambda tree, demand, theta:
+                        real_parts(tree, demand, theta) + (low in theta))
+    with pytest.raises(SolverError,
+                       match="^hmmdea value 39 != re-evaluated cost 38"):
+        run_solver("hmmdea", tree, demand, D, "exact")
+
+
+def test_an_invalid_selection_is_refused(monkeypatch):
+    real = mmdea.solve_segment
+
+    def search(*args):
+        value, theta, table = real(*args)
+        del theta[max(theta)]
+        return value, theta, table
+    monkeypatch.setattr(mmdea, "solve_segment", search)
+    tree, demand = demo_instance()
+    with pytest.raises(SolverError, match="^mmdea selection is invalid: "
+                                          "desired view 8 has no selection"):
+        run_solver("mmdea", tree, demand, D, "exact")

@@ -101,6 +101,17 @@ class TestSolveCommand:
         assert err.startswith("internal error: table is corrupt")
         assert out == ""
 
+    def test_unexpected_exception_exit_code(self, demo_files, monkeypatch,
+                                            capsys):
+        break_mmdea(monkeypatch, KeyError("view 7"))
+        topo, dem = demo_files
+        code, out, err = run_cli(capsys, "solve", "--topology", topo,
+                                 "--format", "edges", "--demand", dem,
+                                 "--d", "4", "--solver", "mmdea")
+        assert code == 3
+        assert err == "internal error: KeyError: 'view 7'\n"
+        assert out == ""
+
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.gml"
         bad.write_text("graph [ node [ ] ]")
@@ -263,11 +274,16 @@ fork_only = pytest.mark.skipif(
 class TestDeadPoolWorker:
     ARGS = ("run", "--topology", KDL_PATH, "--clients", "20", "--samples", "6")
 
-    def run_pooled(self, monkeypatch, capsys):
+    def run_pooled(self, monkeypatch, capfd):
+        """Run pooled under `capfd`, which sees what forked workers write
+        to stderr; their log records reach it as they would outside
+        pytest, not pytest's log capture."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        return run_cli(capsys, *self.ARGS)
+        monkeypatch.setattr(logging.getLogger("concurrent.futures"),
+                            "propagate", False)
+        return run_cli(capfd, *self.ARGS)
 
-    def test_worker_dying_mid_sample(self, monkeypatch, capsys):
+    def test_worker_dying_mid_sample(self, monkeypatch, capfd):
         real = cli._run_sample
 
         def run_sample(args, candidates=None):
@@ -275,26 +291,23 @@ class TestDeadPoolWorker:
                 os._exit(1)
             return real(args, candidates)
         monkeypatch.setattr(cli, "_run_sample", run_sample)
-        code, out, err = self.run_pooled(monkeypatch, capsys)
+        code, out, err = self.run_pooled(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
         assert "Traceback" not in err
 
-    def test_worker_dying_in_its_initializer(self, monkeypatch, capsys):
+    def test_worker_dying_in_its_initializer(self, monkeypatch, capfd):
         monkeypatch.setattr(cli, "_init_worker", lambda *args: os._exit(1))
-        code, out, err = self.run_pooled(monkeypatch, capsys)
+        code, out, err = self.run_pooled(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
+        assert "Traceback" not in err
 
     def test_initializer_raising(self, monkeypatch, capfd):
         class Unwritable(dict):
             def update(self, *args, **kwargs):
                 raise RuntimeError("graph did not arrive")
         monkeypatch.setattr(cli, "_worker", Unwritable())
-        # a worker's log records reach stderr as they would outside pytest,
-        # not pytest's log capture
-        monkeypatch.setattr(logging.getLogger("concurrent.futures"),
-                            "propagate", False)
         code, out, err = self.run_pooled(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: worker initializer "

@@ -349,6 +349,38 @@ class TestAgainstFullScanReference:
         self.assert_matches(tree, demand, 4, mode)
 
 
+class TestAnchorTreesNest:
+    """A column's anchor trees grow with the anchor depth d, so in the
+    exact-mode walk a later predecessor of smaller d never ties the best
+    price, and equal prices go to the smallest d without a tie clause."""
+
+    def assert_nested(self, tree, demand, D):
+        masks = view_masks(tree, demand)
+        for seg in segment_views(demand, D):
+            _, _, table = solve_segment(tree, demand, seg, D, "exact", masks)
+            for col in table.columns.values():
+                trees = [v.anchor_tree for _, v in sorted(col.items())
+                         if v.value != INFEASIBLE]
+                for i, small in enumerate(trees):
+                    assert all(small & ~big == 0 for big in trees[i + 1:])
+
+    def test_demo(self):
+        tree, demand = demo_instance()
+        for D in range(2, 8):
+            self.assert_nested(tree, demand, D)
+
+    def test_random_trees(self, rng):
+        for _ in range(200):
+            tree, demand = random_tree_instance(rng)
+            for D in range(2, 8):
+                self.assert_nested(tree, demand, D)
+
+    def test_wide_shaped_bundled_instance(self):
+        tree, demand = bundled_instance(DemandDistribution("uniform", 100),
+                                        2024, clients=753)
+        self.assert_nested(tree, demand, 16)
+
+
 @pytest.fixture
 def dp_cells(monkeypatch):
     """`perfbench/layers.py::dp_cells`, the variant count the benchmark
