@@ -95,11 +95,11 @@ def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
 
 
 def evaluate_cost(tree: ShortestPathTree, demand: DemandMap, theta,
-                  D: int | None = None, crossing_allowed: bool = False) -> int:
+                  D: int | None = None) -> int:
     """Total bandwidth of a view selection: sum over arcs of the number of
     distinct views carried.  Validates theta first when D is given."""
     if D is not None:
-        issues = validate_selection(theta, demand, D, crossing_allowed)
+        issues = validate_selection(theta, demand, D)
         if issues:
             raise ValueError("invalid view selection: " + "; ".join(issues))
     return cost_of_parts(tree, demand, theta)

@@ -97,7 +97,8 @@ class ShortestPathTree:
     """Rooted directed tree spanning the root and a set of terminal nodes.
 
     Arcs point away from the root.  Every non-root node has exactly one
-    parent and every terminal is reachable from the root.  Arcs are
+    parent and every terminal is reachable from the root.  `parents` may
+    hold nodes off the terminals' root paths; they get no arc.  Arcs are
     numbered as the walks up from the terminals meet them, each walk's new
     arcs top-down: bit i of a mask stands for `arc_list[i]`.  `path_mask`
     maps every node on a terminal's root path to the mask of that path,
@@ -161,7 +162,8 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
 
     Equal-distance parent candidates are broken by smallest node
     identifier (`NetworkGraph.spt_parents`), so identical inputs always
-    produce identical trees.  Branches that lead to no terminal are pruned.
+    produce identical trees.  The tree's `parents` is that whole map, but
+    its arcs and masks cover only the terminals' root paths.
     """
     terminals = set(terminals)
     missing = terminals - graph.nodes
@@ -172,15 +174,7 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     if unreachable:
         raise ValueError(f"terminal {min(unreachable, key=repr)!r} is "
                          f"unreachable from server {graph.server!r}")
-    # walking up from the terminals visits only nodes on some root path
-    spt_parents = graph.spt_parents
-    parents = {}
-    for t in terminals:
-        n = t
-        while n != graph.server and n not in parents:
-            parents[n] = spt_parents[n]
-            n = parents[n]
-    return ShortestPathTree(graph.server, parents, terminals)
+    return ShortestPathTree(graph.server, graph.spt_parents, terminals)
 
 
 class DemandMap:

@@ -2,10 +2,15 @@
 
 File formats:
 
-* GML subset: ``graph [ node [ id N ... ] edge [ source A target B ] ]``
-  with arbitrary extra attributes (nested blocks are skipped).
-* edge list: one ``a b`` pair per line, ``#`` starts a comment.
+* GML subset: ``graph [ node [ id N ... ] edge [ source A target B ] ]``.
+  A block is a run of ``key value`` pairs: the key is a bare word, the
+  value a bare word, a ``"quoted string"`` or a nested ``[ ... ]`` block.
+  The first scalar value of a key wins; other attributes and nested
+  blocks are ignored.
+* edge list: one ``a b`` pair per line.
 * demand files: one ``terminal view`` pair per line.
+
+In every format ``#`` starts a comment.
 
 All-digit node tokens become integers so that edge lists, GML files and
 demand files agree on node identity.
@@ -14,6 +19,7 @@ demand files agree on node identity.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -28,114 +34,86 @@ def _node_id(token: str):
     return int(tok) if neg.isdigit() else tok
 
 
+def _two_columns(lines, expected):
+    """Yield (line_number, first, second) for each line of two columns;
+    ``#`` starts a comment and blank lines are skipped."""
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split("#", 1)[0].split()
+        if len(parts) == 2:
+            yield ln, *parts
+        elif parts:
+            raise ValueError(f"line {ln}: expected {expected}, got {line.strip()!r}")
+
+
+_GML_TOKEN = re.compile(r'"[^"]*"|[][]|#.*|[^\s"#[\]][^\s[\]]*|"')
+
+
 def _tokenize_gml(text):
-    """Yield (token, line_number); quoted strings are single tokens."""
+    """Yield (token, line_number).  A quoted string keeps its quotes, so
+    ``"["`` can never be taken for a bracket; comments are dropped."""
     for ln, line in enumerate(text.splitlines(), start=1):
-        rest = line
-        while rest:
-            rest = rest.lstrip()
-            if not rest or rest.startswith("#"):
-                break
-            if rest[0] == '"':
-                end = rest.find('"', 1)
-                if end < 0:
-                    raise ValueError(f"line {ln}: unterminated string")
-                yield rest[1:end], ln
-                rest = rest[end + 1:]
-            else:
-                cut = len(rest)
-                for i, ch in enumerate(rest):
-                    if ch.isspace():
-                        cut = i
-                        break
-                    if ch in "[]" and i > 0:
-                        cut = i
-                        break
-                if rest[0] in "[]":
-                    cut = 1
-                yield rest[:cut], ln
-                rest = rest[cut:]
+        for tok in _GML_TOKEN.findall(line):
+            if tok == '"':
+                raise ValueError(f"line {ln}: unterminated string")
+            if tok[0] != "#":
+                yield tok, ln
+
+
+def _read_pairs(tokens, end_line, closed=False):
+    """Read ``key value`` pairs up to the ``]`` that closes this block, or
+    up to the end of the text when not `closed`, as (key, value, line)
+    triples.  A key is a bare word; a value is a bare word, a quoted
+    string (returned unquoted) or a nested list of triples."""
+    pairs = []
+    for key, ln in tokens:
+        if key == "]" and closed:
+            return pairs
+        if key[0] in '[]"':
+            raise ValueError(f"line {ln}: expected a key, got {key}")
+        value, _ = next(tokens, ("]", ln))
+        if value == "]":
+            raise ValueError(f"line {ln}: {key} has no value")
+        if value == "[":
+            value = _read_pairs(tokens, end_line, closed=True)
+        elif value[0] == '"':
+            value = value[1:-1]
+        pairs.append((key, value, ln))
+    if closed:
+        raise ValueError(f"line {end_line}: unterminated block")
+    return pairs
 
 
 def _parse_gml(text):
     tokens = list(_tokenize_gml(text))
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, -1)
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def skip_value():
-        tok, ln = take()
-        if tok == "[":
-            depth = 1
-            while depth:
-                tok, ln = take()
-                if tok is None:
-                    raise ValueError(f"line {ln}: unbalanced brackets")
-                depth += tok == "["
-                depth -= tok == "]"
-
-    def parse_block(line):
-        fields = {}
-        tok, ln = take()
-        if tok != "[":
-            raise ValueError(f"line {line}: expected '[' to open block")
-        while True:
-            tok, ln = take()
-            if tok is None:
-                raise ValueError(f"line {ln}: unterminated block")
-            if tok == "]":
-                return fields, ln
-            key = tok
-            val, vln = peek()
-            if val == "[":
-                skip_value()
-            else:
-                take()
-                if key not in fields:
-                    fields[key] = (val, vln)
-
+    end_line = tokens[-1][1] if tokens else 1
+    try:
+        top = _read_pairs(iter(tokens), end_line)
+    except RecursionError:
+        raise ValueError(f"line {end_line}: blocks nested too deeply") from None
     nodes, labels, edges = set(), {}, []
-    while True:
-        tok, ln = take()
-        if tok is None:
-            break
-        if tok == "graph":
-            tok, ln = take()
-            if tok != "[":
-                raise ValueError(f"line {ln}: expected '[' after 'graph'")
-            while True:
-                tok, ln = take()
-                if tok is None:
-                    raise ValueError(f"line {ln}: unterminated graph block")
-                if tok == "]":
-                    break
-                if tok == "node":
-                    fields, bln = parse_block(ln)
-                    if "id" not in fields:
-                        raise ValueError(f"line {ln}: node block without id")
-                    nid = _node_id(fields["id"][0])
-                    nodes.add(nid)
-                    if "label" in fields:
-                        labels[nid] = fields["label"][0]
-                elif tok == "edge":
-                    fields, bln = parse_block(ln)
-                    for key in ("source", "target"):
-                        if key not in fields:
-                            raise ValueError(f"line {ln}: edge block without {key}")
-                    edges.append((_node_id(fields["source"][0]),
-                                  _node_id(fields["target"][0]), ln))
-                else:
-                    skip_value()  # scalar attribute or nested block
-        else:
-            # stray top-level attribute such as 'Creator "..."'
-            skip_value()
+    for key, graph, ln in top:
+        if key != "graph":
+            continue  # stray top-level attribute such as 'Creator "..."'
+        if isinstance(graph, str):
+            raise ValueError(f"line {ln}: expected '[' after 'graph'")
+        for kind, block, ln in graph:
+            if kind not in ("node", "edge"):
+                continue
+            if isinstance(block, str):
+                raise ValueError(f"line {ln}: expected '[' to open {kind} block")
+            # the first scalar value of a key wins; nested blocks are ignored
+            fields = {k: v for k, v, _ in reversed(block) if isinstance(v, str)}
+            for need in ("id",) if kind == "node" else ("source", "target"):
+                if need not in fields:
+                    raise ValueError(f"line {ln}: {kind} block without {need}")
+            if kind == "node":
+                nid = _node_id(fields["id"])
+                nodes.add(nid)
+                if "label" in fields:
+                    labels[nid] = fields["label"]
+            else:
+                edges.append((_node_id(fields["source"]),
+                              _node_id(fields["target"]), ln))
     if not nodes:
         raise ValueError("line 1: no 'graph [ ... ]' block found")
     return nodes, labels, edges
@@ -162,14 +140,8 @@ def parse_topology(text_or_path, fmt: str = "gml",
         nodes, labels, raw_edges = _parse_gml(text)
     elif fmt == "edges":
         nodes, labels, raw_edges = set(), {}, []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {ln}: expected 'a b', got {line.strip()!r}")
-            a, b = (_node_id(p) for p in parts)
+        for ln, a, b in _two_columns(text.splitlines(), "'a b'"):
+            a, b = _node_id(a), _node_id(b)
             nodes.update((a, b))
             raw_edges.append((a, b, ln))
     else:
@@ -268,7 +240,6 @@ class DemandDistribution:
     view_count: int
     variance: float | None = None
     exponent: float | None = None
-    mean: float | None = None     # gaussian; defaults to view_count / 2
     center_out: bool = True       # zipf rank 1 maps to the middle view
 
     def __post_init__(self):
@@ -307,8 +278,7 @@ def sample_demand(dist: DemandDistribution, terminals, seed=0) -> DemandMap:
     if dist.kind == "uniform":
         views = rng.integers(1, K + 1, size=len(terms))
     elif dist.kind == "gaussian":
-        mean = dist.mean if dist.mean is not None else 0.5 * K
-        raw = rng.normal(mean, dist.variance ** 0.5, size=len(terms))
+        raw = rng.normal(0.5 * K, dist.variance ** 0.5, size=len(terms))
         views = np.clip(np.rint(raw), 1, K).astype(int)
     else:
         pmf = zipf_pmf(dist)
@@ -321,18 +291,11 @@ def sample_demand(dist: DemandDistribution, terminals, seed=0) -> DemandMap:
 def read_demand(path, universe_size=None) -> DemandMap:
     pairs = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {ln}: expected 'terminal view'")
+        for ln, terminal, view in _two_columns(fh, "'terminal view'"):
             try:
-                view = int(parts[1])
+                pairs[_node_id(terminal)] = int(view)
             except ValueError:
-                raise ValueError(f"line {ln}: view {parts[1]!r} is not an integer")
-            pairs[_node_id(parts[0])] = view
+                raise ValueError(f"line {ln}: view {view!r} is not an integer")
     if not pairs:
         raise ValueError("demand file is empty")
     if universe_size is None:

@@ -122,6 +122,16 @@ class TestSolveCommand:
         assert code == 1
         assert "error" in err
 
+    def test_truncated_gml_names_a_line(self, tmp_path, capsys):
+        bad = tmp_path / "truncated.gml"
+        bad.write_text("graph [\n  node [ id 1 ]\n  node [ id")
+        dem = tmp_path / "d.txt"
+        dem.write_text("1 1\n")
+        code, _, err = run_cli(capsys, "solve", "--topology", str(bad),
+                               "--demand", str(dem), "--d", "2")
+        assert code == 1
+        assert err.startswith("error: line 3: ")
+
 
 class TestRunCommand:
     def test_preset_demo_rows(self, capsys):

@@ -88,6 +88,8 @@ class TestBuildSpt:
         t = build_spt(g, ["b"])
         assert ("s", "dead") not in t.arcs
         assert t.arcs == {("s", "a"), ("a", "b")}
+        assert "dead" not in t.path_mask
+        assert ("s", "dead") not in t.arc_list
 
     def test_unreachable_terminal_is_named(self):
         g = NetworkGraph([0, 1, 2, 3], [(0, 1), (2, 3)], 0)

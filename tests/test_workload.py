@@ -1,13 +1,17 @@
 import math
+import re
 import warnings
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmds import (DemandDistribution, DemandMap, generate_topology,
                   parse_topology, read_demand, sample_demand, write_demand,
                   write_edges, write_gml, zipf_pmf, zipf_rank_to_view)
+from mmds.workload import _parse_gml
 
 KDL = files("mmds.data") / "kdl_754_895.gml"
 
@@ -43,6 +47,41 @@ class TestParseGml:
         bad = "graph [\n  node [ label \"x\" ]\n]"
         with pytest.raises(ValueError, match="line 2"):
             parse_topology(bad, "gml")
+
+    def test_truncated_file_names_its_last_line(self):
+        with pytest.raises(ValueError, match="^line 3: "):
+            parse_topology("graph [\n node [ id 1 ]\n node [ id", "gml")
+        with pytest.raises(ValueError, match="^line 2: unterminated block"):
+            parse_topology("graph [\n node [ id 1 ]\n", "gml")
+
+    def test_quoted_brackets_are_plain_labels(self):
+        g = parse_topology('graph [ node [ id 1 label "[" ] '
+                           'node [ id 2 label "]" ] edge [ source 1 target 2 ] ]',
+                           "gml")
+        assert g.labels == {1: "[", 2: "]"}
+
+    def test_key_without_value_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: id has no value"):
+            parse_topology("graph [\n  node [ id ]\n]", "gml")
+
+    @pytest.mark.parametrize("tail", ["]", "foo"])
+    def test_junk_after_the_graph_block_raises(self, tail):
+        with pytest.raises(ValueError, match="^line 2: "):
+            parse_topology(f"graph [ node [ id 1 ] ]\n{tail}\n", "gml")
+
+    def test_quoted_key_raises(self):
+        with pytest.raises(ValueError, match="^line 2: expected a key"):
+            parse_topology('graph [\n node [ id 1 "q q" 2 ] ]', "gml")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        text = "graph [ node [ id 1 ] " + "x [ " * 5000 + "] " * 5001
+        with pytest.raises(ValueError, match="^line 1: blocks nested too deeply"):
+            parse_topology(text, "gml")
+
+    def test_first_scalar_value_of_a_key_wins(self):
+        nodes, labels, edges = _parse_gml(
+            'graph [ node [ id [ x 9 ] id 1 id 2 label "a" label "b" ] ]')
+        assert (nodes, labels, edges) == ({1}, {1: "a"}, [])
 
     def test_missing_graph_block(self):
         with pytest.raises(ValueError, match="graph"):
@@ -86,6 +125,23 @@ class TestParseGml:
         assert any("self-loop" in str(w.message) for w in caught)
 
 
+GML_WORDS = ["graph", "node", "edge", "id", "source", "target", "label",
+             "[", "]", "0", "1", "2", "17", '"x"', '"["', '"]"', '"a b"',
+             "# note", "\n"]
+
+
+@given(st.lists(st.sampled_from(GML_WORDS), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_gml_text_parses_or_names_a_line(words):
+    text = " ".join(words)
+    try:
+        _parse_gml(text)
+    except ValueError as exc:
+        line = re.match(r"line (\d+): ", str(exc))
+        assert line, str(exc)
+        assert 1 <= int(line.group(1)) <= max(1, len(text.splitlines()))
+
+
 class TestParseEdges:
     def test_path_graph(self):
         g = parse_topology("a b\nb c\n", "edges")
@@ -99,6 +155,12 @@ class TestParseEdges:
     def test_malformed_line_numbered(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_topology("1 2\n3 4 5\n", "edges")
+
+    def test_comment_only_and_trailing_comment_lines(self):
+        g = parse_topology("#\n1 2 # 3\n", "edges")
+        assert g.edges == {frozenset((1, 2))}
+        with pytest.raises(ValueError, match="^line 2: expected 'a b'"):
+            parse_topology("# only a comment\n1 # 2\n", "edges")
 
     def test_roundtrip(self, tmp_path):
         g = generate_topology(25, 31, seed=9)
@@ -207,4 +269,12 @@ class TestDemandFiles:
             read_demand(path)
         path.write_text("# nothing\n")
         with pytest.raises(ValueError, match="empty"):
+            read_demand(path)
+
+    def test_comment_only_and_trailing_comment_lines(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("#\nu1 2 # 3\n")
+        assert read_demand(path).demand == {"u1": 2}
+        path.write_text("# only a comment\nu1 # 2\n")
+        with pytest.raises(ValueError, match="^line 2: expected 'terminal view'"):
             read_demand(path)
