@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emmdea import StateSpaceError, solve_extended
-from .graphs import build_spt
+from .graphs import build_spt, check_quality
 from .hmmdea import h_solve
 from .instances import DEMO_VIEW_COUNT, demo_instance
 from .mmdea import SolverError, solve_general, two_view_fraction
@@ -178,7 +178,8 @@ def _solver_row(base, solver, tree, demand, D, phi):
 
 def run_scenario(config: ScenarioConfig) -> list[dict]:
     """Run all samples of a scenario; one row per (sample, solver) plus a
-    mean row per solver.  Rows appear in sample order."""
+    mean row per solver, in sample order.  A bad D raises before any runs."""
+    check_quality(config.d)
     if config.preset == "demo":
         tree, demand = demo_instance()
         base = _echo(config)
@@ -246,6 +247,7 @@ def write_csv(rows, stream):
 
 def _cmd_solve(args) -> int:
     try:
+        check_quality(args.d)
         graph = parse_topology(args.topology, args.format,
                                largest_component=args.largest_component)
         demand = read_demand(args.demand, args.views)

@@ -72,12 +72,12 @@ def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
     return (mid & ~tl).bit_count() + (mid & ~tr).bit_count()
 
 
-def _delivery_masks(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
+def _delivery_masks(masks: dict, theta) -> dict:
     """Each transmitted view's delivery tree as a mask: the union of the
-    root paths of the terminals that receive it.  Only terminals whose
-    desired view is in theta participate."""
+    view trees (`masks`, from `view_masks`) of the desired views that
+    receive it.  Only desired views in theta participate."""
     trees = {}
-    for v, mask in view_masks(tree, demand).items():
+    for v, mask in masks.items():
         if v in theta:
             for w in set(theta[v]):
                 trees[w] = trees.get(w, 0) | mask
@@ -88,7 +88,7 @@ def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
     """Views carried on each arc: the union of need-sets of all terminals
     whose root path crosses the arc."""
     loads = {}
-    for w, mask in _delivery_masks(tree, demand, theta).items():
+    for w, mask in _delivery_masks(view_masks(tree, demand), theta).items():
         for arc in tree.arcs_of(mask):
             loads.setdefault(arc, set()).add(w)
     return {a: frozenset(v) for a, v in loads.items()}
@@ -102,14 +102,15 @@ def evaluate_cost(tree: ShortestPathTree, demand: DemandMap, theta,
         issues = validate_selection(theta, demand, D)
         if issues:
             raise ValueError("invalid view selection: " + "; ".join(issues))
-    return cost_of_parts(tree, demand, theta)
+    return cost_of_parts(view_masks(tree, demand), theta)
 
 
-def cost_of_parts(tree: ShortestPathTree, demand: DemandMap, theta) -> int:
-    """Bandwidth of a (possibly partial) selection, without validation.
+def cost_of_parts(masks: dict, theta) -> int:
+    """Bandwidth of a (possibly partial) selection on `masks`, the
+    `view_masks` of its instance, without validation.
 
-    Only terminals whose desired view is in theta participate.  Equals
-    the per-arc union sum because each transmitted view contributes one
-    unit on every arc of the union of its receivers' paths.
+    Only desired views in theta participate.  Equals the per-arc union
+    sum because each transmitted view contributes one unit on every arc
+    of the union of its receivers' paths.
     """
-    return sum(m.bit_count() for m in _delivery_masks(tree, demand, theta).values())
+    return sum(m.bit_count() for m in _delivery_masks(masks, theta).values())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from functools import cache, partial
 
-from .cost import view_masks
 from .graphs import DemandMap, ShortestPathTree
 from .mmdea import SolveResult, SolverError, solve_by_segment
 
@@ -125,9 +124,8 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
                    state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
-    masks = view_masks(tree, demand)
     return solve_by_segment(
         "emmdea", tree, demand, D,
-        lambda seg: _solve_segment(masks, frozenset(seg.members), seg.lo,
-                                   seg.hi, D, mode, state_cap),
+        lambda seg, masks: _solve_segment(
+            masks, frozenset(seg.members), seg.lo, seg.hi, D, mode, state_cap),
         mode, crossing_allowed=True)

@@ -99,23 +99,24 @@ class ShortestPathTree:
     Arcs point away from the root.  Every non-root node has exactly one
     parent and every terminal is reachable from the root.  `parents` may
     hold nodes off the terminals' root paths; they get no arc.  Arcs are
-    numbered as the walks up from the terminals meet them, each walk's new
-    arcs top-down: bit i of a mask stands for `arc_list[i]`.  `path_mask`
-    maps every node on a terminal's root path to the mask of that path,
-    which is its parent's mask plus its own arc's bit, computed once per
-    node.
+    numbered as the walks up from the terminals, in the order given,
+    meet them, each walk's new arcs top-down: bit i of a mask stands for
+    `arc_list[i]`.  `path_mask` maps every node on a terminal's root path
+    to the mask of that path, its parent's mask plus its own arc's bit,
+    computed once per node.
     """
 
     def __init__(self, root, parents, terminals):
         self.root = root
         self.parents = dict(parents)
-        self.terminals = frozenset(terminals)
+        order = tuple(dict.fromkeys(terminals))
+        self.terminals = frozenset(order)
         if root in self.parents:
             raise ValueError("root must not have a parent")
         parents = self.parents
         arc_list = []
         path_mask = {root: 0}
-        for t in self.terminals:
+        for t in order:
             climb = []
             n = t
             while n not in path_mask:
@@ -133,7 +134,7 @@ class ShortestPathTree:
                 path_mask[c] = mask
         self.arc_list = arc_list
         self.path_mask = path_mask
-        self.depth = {t: path_mask[t].bit_count() for t in self.terminals}
+        self.depth = {t: path_mask[t].bit_count() for t in order}
         self.arcs = frozenset(arc_list)
 
     def arcs_of(self, mask) -> frozenset:
@@ -163,10 +164,10 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     Equal-distance parent candidates are broken by smallest node
     identifier (`NetworkGraph.spt_parents`), so identical inputs always
     produce identical trees.  The tree's `parents` is that whole map, but
-    its arcs and masks cover only the terminals' root paths.
+    its arcs and masks cover only the terminals' root paths, in their order.
     """
-    terminals = set(terminals)
-    missing = terminals - graph.nodes
+    terminals = tuple(terminals)
+    missing = set(terminals) - graph.nodes
     if missing:
         raise ValueError(f"terminals not in graph: {sorted(missing, key=repr)}")
     dist = graph.dist

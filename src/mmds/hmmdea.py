@@ -1,20 +1,27 @@
 """Improvement heuristic: start from direct delivery and repeatedly
 replace one transmitted view by its two transmitted neighbours.  Each
 transmitted view keeps its delivery tree (the arcs that carry it, as an
-int bitmask from ``cost.view_masks``), so a candidate is priced by its
-marginal change to those trees alone: three popcounts.  Only the
-strictly best improvement is committed per round, so the cost decreases
-monotonically and the loop terminates.  Rounds span all segments, so
-h_solve checks each round and segment itself, then ``mmdea.certify``.
+int bitmask), so a candidate is priced by its marginal change to those
+trees alone: three popcounts.  Only the strictly best improvement is
+committed per round, so the cost decreases monotonically.
+
+A move changes only its own segment's trees, so each segment runs its own
+greedy under ``mmdea.solve_by_segment`` on copies of the driver's masks,
+checking every round with ``cost.cost_of_parts``.  One greedy over all
+segments commits, each round, the best next move among the segments,
+ranked by (-gain, view, width); ``heapq.merge`` over the segments' moves
+gives back that order for ``round_costs``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .cost import cost_of_parts, edge_view_loads, evaluate_cost, view_masks
-from .graphs import DemandMap, ShortestPathTree, segment_views
-from .mmdea import SolveResult, SolverError, certify
+from .cost import cost_of_parts, edge_view_loads
+from .graphs import DemandMap, Segment, ShortestPathTree
+from .mmdea import SolveResult, SolverError, solve_by_segment
 
 
 @dataclass
@@ -23,63 +30,57 @@ class HeuristicResult(SolveResult):
     arc_views: dict = field(default_factory=dict)
 
 
-def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
-    """Improvement heuristic over transmitted views; the result always
-    sits between the optimum and direct delivery."""
-    segs = segment_views(demand, D)
-    boundary = set()
-    for seg in segs:
-        boundary.add(seg.lo)
-        boundary.add(seg.hi)
-
-    theta = {v: (v, v) for v in demand.desired_views}
-    delivery = view_masks(tree, demand)   # transmitted view -> mask of its arcs
-    active = sorted(demand.desired_views)   # transmitted views, ascending
+def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
+    """Greedy over one segment's transmitted views; appends each committed
+    move to `moves` as (-gain, view, width) and returns (cost, theta)."""
+    theta = {v: (v, v) for v in seg.members}
+    delivery = {v: masks[v] for v in seg.members}  # transmitted view -> its arcs
+    active = list(seg.members)   # transmitted views, ascending
     sources = set()
-
     cost = sum(arcs.bit_count() for arcs in delivery.values())
-    if cost != evaluate_cost(tree, demand, theta):
-        raise SolverError("delivery trees disagree with the cost functional")
-    history = [cost]
-
     while True:
-        best = best_key = None
-        for i, w in enumerate(active):
-            if w in boundary or w in sources:
-                continue
-            left, right = active[i - 1], active[i + 1]
-            if right - left > D:
+        if cost != cost_of_parts(masks, theta):
+            raise SolverError("delivery trees disagree with the cost functional")
+        best = None
+        # the segment's two ends are never replaced
+        for left, w, right in zip(active, active[1:], active[2:]):
+            if w in sources or right - left > D:
                 continue
             # w is no source, so only its own subscribers receive it and
             # moving them to (left, right) touches just these three trees
             tw = delivery[w]
-            u = (cost - tw.bit_count() + (tw & ~delivery[left]).bit_count()
-                 + (tw & ~delivery[right]).bit_count())
-            if u < cost:
-                key = (u, w, right - left)
-                if best_key is None or key < best_key:
-                    best, best_key = (u, w, left, right), key
+            gain = (tw.bit_count() - (tw & ~delivery[left]).bit_count()
+                    - (tw & ~delivery[right]).bit_count())
+            if gain > 0 and (best is None or (-gain, w, right - left) < best):
+                best, pair = (-gain, w, right - left), (left, right)
         if best is None:
-            break
-        u, w, left, right = best
-        theta[w] = (left, right)
+            return cost, theta
+        moves.append(best)
+        change, w, _ = best
+        theta[w] = pair
+        left, right = pair
         tw = delivery.pop(w)
         delivery[left] |= tw
         delivery[right] |= tw
         active.remove(w)
-        sources.update((left, right))
-        cost = u
-        if cost != evaluate_cost(tree, demand, theta):
-            raise SolverError("committed cost diverged from the functional")
-        history.append(cost)
+        sources.update(pair)
+        cost += change
 
-    per_segment = [(seg, cost_of_parts(tree, demand,
-                                       {v: theta[v] for v in seg.members}))
-                   for seg in segs]
-    if sum(c for _, c in per_segment) != cost:
-        raise SolverError("per-segment costs do not add up to the total")
-    result = certify("hmmdea", tree, demand, D, theta, cost, per_segment)
+
+def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
+    """Improvement heuristic over transmitted views; the result always
+    sits between the optimum and direct delivery.  `round_costs` lists the
+    total after each round of one greedy over all segments."""
+    moves = []   # one list of committed moves per segment
+
+    def solve_one(seg, masks):
+        moves.append([])
+        return _improve(seg, masks, D, moves[-1])
+
+    result = solve_by_segment("hmmdea", tree, demand, D, solve_one)
+    changes = [change for change, _, _ in heapq.merge(*moves)]
+    history = list(accumulate(changes, initial=result.total - sum(changes)))
     loads = edge_view_loads(tree, demand, result.theta)
-    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arcs}
+    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arc_list}
     return HeuristicResult(**vars(result), round_costs=history,
                            arc_views=arc_views)

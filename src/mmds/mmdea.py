@@ -22,8 +22,8 @@ Three ways of pricing a synthesis step are supported:
 Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
 popcount: |A - B| is ``(a & ~b).bit_count()``.
 
-``solve_by_segment``, the driver every solver and oracle shares, runs a
-per-segment search and hands the joined selection to ``certify``.
+``solve_by_segment``, the driver every solver and oracle shares, builds
+the view masks once, runs a per-segment search and calls ``certify``.
 
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import INFEASIBLE, cost_of_parts, view_masks
+from .cost import INFEASIBLE, evaluate_cost, view_masks
 from .graphs import (DemandMap, Segment, ShortestPathTree, segment_views,
                      transmitted_views, validate_selection)
 
@@ -93,15 +93,14 @@ class SolveResult:
 def certify(name: str, tree: ShortestPathTree, demand: DemandMap, D: int,
             theta: dict, total, per_segment: list, mode: str | None = None,
             crossing_allowed=False, stats: dict | None = None) -> SolveResult:
-    """Check solver `name`'s selection and build its result.  The selection
-    must be valid for D, and `total` must equal its re-cost by
-    `cost_of_parts`, which unions the receivers' paths and shares no
-    solver's telescoped prices; literal and per_view prices may exceed the
-    re-cost, but no value may fall below it."""
+    """Check solver `name`'s selection and build its result: it must be
+    valid for D, and `total` must equal its re-cost by `evaluate_cost` on
+    fresh masks, which shares no solver's telescoped prices; literal and
+    per_view prices may exceed the re-cost, but none may fall below it."""
     issues = validate_selection(theta, demand, D, crossing_allowed)
     if issues:
         raise SolverError(f"{name} selection is invalid: " + "; ".join(issues))
-    evaluated = cost_of_parts(tree, demand, theta)
+    evaluated = evaluate_cost(tree, demand, theta)
     if total < evaluated:
         raise SolverError(f"{name} value {total} below true cost {evaluated}")
     if total != evaluated and mode not in ("literal", "per_view"):
@@ -114,13 +113,15 @@ def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
                      D: int, solve_one, mode: str | None = None,
                      crossing_allowed: bool = False,
                      stats: dict | None = None) -> SolveResult:
-    """Run `solve_one(seg) -> (value, theta)` on every maximal segment of
-    the desired views and `certify` the joined selection."""
+    """Build `view_masks(tree, demand)` once, run `solve_one(seg, masks)
+    -> (value, theta)` on every maximal segment of the desired views, and
+    `certify` the joined selection."""
     if mode is not None:
         _check_mode(mode)
+    masks = view_masks(tree, demand)
     total, theta, per_segment = 0, {}, []
     for seg in segment_views(demand, D):
-        value, th = solve_one(seg)
+        value, th = solve_one(seg, masks)
         total += value
         theta.update(th)
         per_segment.append((seg, value))
@@ -269,10 +270,9 @@ def backtrack(table: CostTable) -> dict:
 def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
                   mode: str = "exact") -> SolveResult:
     """Optimal non-crossing view selection over all segments."""
-    masks = view_masks(tree, demand)
     stats = {"cells": 0, "prices": 0}
 
-    def solve_one(seg):
+    def solve_one(seg, masks):
         value, theta, table = solve_segment(tree, demand, seg, D, mode, masks)
         stats["cells"] += table.cells
         stats["prices"] += table.prices

@@ -7,7 +7,7 @@ both segment boundaries with consecutive gaps <= D, where every desired
 view outside F maps to its enclosing consecutive pair in F.  The oracle
 enumerates F directly and never reuses the solvers' reasoning: each
 enumeration runs per segment under ``mmdea.solve_by_segment``, which holds
-no search reasoning, only the segment loop and the certificate.
+no search reasoning, only the segment loop, its masks and the certificate.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _theta_for_fset(fset, members):
 
 def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
     """Exhaustive optimum of the non-crossing problem via transmitted sets."""
-    def solve_one(seg):
+    def solve_one(seg, masks):
         if seg.hi - seg.lo > MMDS_SPAN_GUARD:
             raise OracleGuardError(
                 f"segment span {seg.hi - seg.lo} exceeds the enumeration "
@@ -60,7 +60,7 @@ def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solve
             if any(b - a > D for a, b in zip(fset, fset[1:])):
                 continue
             cand = _theta_for_fset(set(fset), seg.members)
-            cost = cost_of_parts(tree, demand, cand)
+            cost = cost_of_parts(masks, cand)
             if best is None or cost < best[0]:
                 best = (cost, cand)
         return best
@@ -80,7 +80,7 @@ def selection_options(v: int, seg: Segment, D: int) -> list:
 
 def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
     """Exhaustive optimum of the relaxed (crossing allowed) problem."""
-    def solve_one(seg):
+    def solve_one(seg, masks):
         options = {v: selection_options(v, seg, D) for v in seg.members}
         size = 1
         for opts in options.values():
@@ -101,7 +101,7 @@ def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solv
                         break
             if not consistent:
                 continue
-            cost = cost_of_parts(tree, demand, cand)
+            cost = cost_of_parts(masks, cand)
             if best is None or cost < best[0]:
                 best = (cost, cand)
         return best

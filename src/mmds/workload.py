@@ -18,7 +18,6 @@ demand files agree on node identity.
 
 from __future__ import annotations
 
-import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -119,23 +118,18 @@ def _parse_gml(text):
     return nodes, labels, edges
 
 
-def parse_topology(text_or_path, fmt: str = "gml",
+def parse_topology(source, fmt: str = "gml",
                    largest_component: bool = False) -> NetworkGraph:
-    """Parse a topology file (or literal text); the node with the smallest
-    identifier becomes the server.  A disconnected graph raises unless
+    """Parse a topology from a path or an open text file; the node with
+    the smallest identifier becomes the server.  A missing path raises
+    FileNotFoundError.  A disconnected graph raises unless
     largest_component is set, in which case the biggest component is
     extracted with a warning."""
-    if hasattr(text_or_path, "read"):
-        text = text_or_path.read()
+    if hasattr(source, "read"):
+        text = source.read()
     else:
-        s = str(text_or_path)
-        if "\n" not in s and os.path.exists(s):
-            with open(s, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        elif "\n" not in s and " " not in s:
-            raise FileNotFoundError(f"no such topology file: {s}")
-        else:
-            text = s
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
     if fmt == "gml":
         nodes, labels, raw_edges = _parse_gml(text)
     elif fmt == "edges":
@@ -240,7 +234,6 @@ class DemandDistribution:
     view_count: int
     variance: float | None = None
     exponent: float | None = None
-    center_out: bool = True       # zipf rank 1 maps to the middle view
 
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian", "zipf"):
@@ -261,10 +254,8 @@ def zipf_pmf(dist: DemandDistribution) -> np.ndarray:
 
 def zipf_rank_to_view(dist: DemandDistribution) -> list:
     """Rank->view map: most popular rank sits on the middle view, later
-    ranks alternate outward (identity map when center_out is off)."""
+    ranks alternate outward."""
     K = dist.view_count
-    if not dist.center_out:
-        return list(range(1, K + 1))
     center = (K + 1) // 2  # ceil(K/2)
     return sorted(range(1, K + 1), key=lambda v: (abs(v - center), v))
 

@@ -5,9 +5,9 @@ overcharge; no value may fall below the re-cost."""
 
 import pytest
 
-from mmds import emmdea, hmmdea, mmdea, oracle
+from mmds import emmdea, mmdea, oracle
 from mmds.cli import run_solver
-from mmds.cost import cost_of_parts
+from mmds.cost import evaluate_cost
 from mmds.instances import demo_instance
 from mmds.mmdea import SolverError
 
@@ -18,8 +18,9 @@ SEARCH = {"mmdea": (mmdea, "solve_segment"),
 
 def misreport(monkeypatch, solver, delta):
     """Make `solver`'s per-segment search report the true cost of the
-    selection it found plus `delta`; the oracles get the shift from the
-    `cost_of_parts` their enumeration prices candidates with."""
+    selection it found (`evaluate_cost`) plus `delta`; the oracles get the
+    shift from the `cost_of_parts` their enumeration prices candidates
+    with."""
     tree, demand = demo_instance()
     if solver in SEARCH:
         module, name = SEARCH[solver]
@@ -27,7 +28,7 @@ def misreport(monkeypatch, solver, delta):
 
         def search(*args):
             _, theta, *rest = real(*args)
-            return (cost_of_parts(tree, demand, theta) + delta, theta, *rest)
+            return (evaluate_cost(tree, demand, theta) + delta, theta, *rest)
     else:
         module, name, real = oracle, "cost_of_parts", oracle.cost_of_parts
 
@@ -64,24 +65,20 @@ def test_a_closed_form_undercharge_is_refused(monkeypatch, solver, mode):
 
 
 def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
-    """h_solve checks every round and segment against its own delivery
-    trees.  Give the lowest view, a segment boundary that is never
-    replaced, an arc outside the tree, and shift those checks to match, so
-    that only the certificate sees the value is one too high."""
+    """h_solve checks its start and every round against the driver's
+    masks.  Give the lowest view, a segment end that is never replaced, an
+    arc outside the tree in those masks, so that every round agrees and
+    only the certificate, which re-costs through `evaluate_cost` on fresh
+    masks, sees the value is one too high."""
     tree, demand = demo_instance()
     low = demand.desired_views[0]
-    real_masks, real_eval = hmmdea.view_masks, hmmdea.evaluate_cost
-    real_parts = hmmdea.cost_of_parts
+    real_masks = mmdea.view_masks
 
     def view_masks(tree, demand):
         masks = real_masks(tree, demand)
         masks[low] |= 1 << len(tree.arc_list)
         return masks
-    monkeypatch.setattr(hmmdea, "view_masks", view_masks)
-    monkeypatch.setattr(hmmdea, "evaluate_cost", lambda *args: real_eval(*args) + 1)
-    monkeypatch.setattr(hmmdea, "cost_of_parts",
-                        lambda tree, demand, theta:
-                        real_parts(tree, demand, theta) + (low in theta))
+    monkeypatch.setattr(mmdea, "view_masks", view_masks)
     with pytest.raises(SolverError,
                        match="^hmmdea value 39 != re-evaluated cost 38"):
         run_solver("hmmdea", tree, demand, D, "exact")

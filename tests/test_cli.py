@@ -122,6 +122,26 @@ class TestSolveCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("solver", ["omds", "mmdea"])
+    def test_d_below_two_is_a_validation_error(self, demo_files, capsys,
+                                                solver):
+        topo, dem = demo_files
+        code, out, err = run_cli(capsys, "solve", "--topology", topo,
+                                 "--format", "edges", "--demand", dem,
+                                 "--d", "1", "--solver", solver)
+        assert code == 1
+        assert out == "" and err == ("error: quality constraint D must be "
+                                     "an integer >= 2, got 1\n")
+
+    def test_missing_topology_path_with_a_space(self, tmp_path, capsys):
+        dem = tmp_path / "d.txt"
+        dem.write_text("1 1\n")
+        missing = tmp_path / "no such dir" / "x.gml"
+        code, out, err = run_cli(capsys, "solve", "--topology", str(missing),
+                                 "--demand", str(dem), "--d", "2")
+        assert code == 1
+        assert out == "" and err.startswith("error: [Errno 2] ")
+
     def test_truncated_gml_names_a_line(self, tmp_path, capsys):
         bad = tmp_path / "truncated.gml"
         bad.write_text("graph [\n  node [ id 1 ]\n  node [ id")
@@ -191,6 +211,15 @@ class TestRunCommand:
                                  "--clients", "0", "--samples", "2")
         assert code == 1
         assert out == "" and err == "error: no desired views\n"
+
+    @pytest.mark.parametrize("source", [("--preset", "demo"),
+                                        ("--topology", KDL_PATH)])
+    def test_d_below_two_aborts_the_run(self, capsys, source):
+        code, out, err = run_cli(capsys, "run", *source, "--d", "1",
+                                 "--solver", "omds,mmdea", "--samples", "2")
+        assert code == 1
+        assert out == "" and err == ("error: quality constraint D must be "
+                                     "an integer >= 2, got 1\n")
 
     def test_deterministic_modulo_runtime(self, tmp_path, capsys):
         args = ["run", "--gen", "60,80", "--views", "6", "--clients", "10",

@@ -160,7 +160,7 @@ class TestCostOfParts:
     def test_partial_selection_counts_only_covered_clients(self):
         tree, demand = demo_instance()
         # only the view-2 client participates
-        assert cost_of_parts(tree, demand, {2: (2, 2)}) == 7
+        assert cost_of_parts(view_masks(tree, demand), {2: (2, 2)}) == 7
 
 
 class TestViewMasks:
@@ -239,7 +239,7 @@ class TestPathMasksAgainstReference:
                     for arc in paths[t]:
                         loads.setdefault(arc, set()).update(theta[v])
             loads = {a: frozenset(views) for a, views in loads.items()}
-            assert cost_of_parts(tree, demand, theta) == \
+            assert cost_of_parts(view_masks(tree, demand), theta) == \
                 sum(len(views) for views in loads.values())
             assert edge_view_loads(tree, demand, theta) == loads
 

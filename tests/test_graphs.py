@@ -1,10 +1,15 @@
 
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmds
 from mmds import (DemandMap, NetworkGraph, ShortestPathTree, build_spt,
                   check_quality, identity_selection, segment_views,
                   transmitted_views, validate_selection)
@@ -97,7 +102,32 @@ class TestBuildSpt:
             build_spt(g, [1, 2])
 
 
+ARC_ORDER_SCRIPT = """
+from mmds import demo_instance, h_solve
+tree, demand = demo_instance()
+print(tree.arc_list)
+print(list(h_solve(tree, demand, 4).arc_views))
+"""
+
+
 class TestShortestPathTree:
+    def test_arcs_numbered_in_terminal_order(self):
+        t = ShortestPathTree(0, {1: 0, 2: 0, 3: 1}, [2, 3, 2, 1])
+        assert t.arc_list == [(0, 2), (0, 1), (1, 3)]
+        assert list(t.depth) == [2, 3, 1]
+
+    def test_arc_numbering_does_not_follow_string_hashing(self):
+        src = str(Path(mmds.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", ARC_ORDER_SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            outputs.add(run.stdout)
+        assert len(outputs) == 1
+
     def test_root_cannot_have_parent(self):
         with pytest.raises(ValueError):
             ShortestPathTree(0, {0: 1, 1: 0}, [1])

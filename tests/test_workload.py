@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import warnings
@@ -37,7 +38,7 @@ class TestParseGml:
         assert g.is_connected()
 
     def test_small_graph_with_attributes(self):
-        g = parse_topology(SMALL_GML, "gml")
+        g = parse_topology(io.StringIO(SMALL_GML), "gml")
         assert g.node_count == 3
         assert g.edge_count == 2  # duplicate 1-2 collapsed
         assert g.labels[1] == "alpha"
@@ -46,46 +47,53 @@ class TestParseGml:
     def test_malformed_block_names_line(self):
         bad = "graph [\n  node [ label \"x\" ]\n]"
         with pytest.raises(ValueError, match="line 2"):
-            parse_topology(bad, "gml")
+            parse_topology(io.StringIO(bad), "gml")
 
     def test_truncated_file_names_its_last_line(self):
         with pytest.raises(ValueError, match="^line 3: "):
-            parse_topology("graph [\n node [ id 1 ]\n node [ id", "gml")
+            parse_topology(io.StringIO("graph [\n node [ id 1 ]\n node [ id"),
+                           "gml")
         with pytest.raises(ValueError, match="^line 2: unterminated block"):
-            parse_topology("graph [\n node [ id 1 ]\n", "gml")
+            parse_topology(io.StringIO("graph [\n node [ id 1 ]\n"), "gml")
 
     def test_quoted_brackets_are_plain_labels(self):
-        g = parse_topology('graph [ node [ id 1 label "[" ] '
-                           'node [ id 2 label "]" ] edge [ source 1 target 2 ] ]',
-                           "gml")
+        text = ('graph [ node [ id 1 label "[" ] '
+                'node [ id 2 label "]" ] edge [ source 1 target 2 ] ]')
+        g = parse_topology(io.StringIO(text), "gml")
         assert g.labels == {1: "[", 2: "]"}
 
     def test_key_without_value_names_its_line(self):
         with pytest.raises(ValueError, match="^line 2: id has no value"):
-            parse_topology("graph [\n  node [ id ]\n]", "gml")
+            parse_topology(io.StringIO("graph [\n  node [ id ]\n]"), "gml")
 
     @pytest.mark.parametrize("tail", ["]", "foo"])
     def test_junk_after_the_graph_block_raises(self, tail):
         with pytest.raises(ValueError, match="^line 2: "):
-            parse_topology(f"graph [ node [ id 1 ] ]\n{tail}\n", "gml")
+            parse_topology(io.StringIO(f"graph [ node [ id 1 ] ]\n{tail}\n"),
+                           "gml")
 
     def test_quoted_key_raises(self):
         with pytest.raises(ValueError, match="^line 2: expected a key"):
-            parse_topology('graph [\n node [ id 1 "q q" 2 ] ]', "gml")
+            parse_topology(io.StringIO('graph [\n node [ id 1 "q q" 2 ] ]'), "gml")
 
     def test_deep_nesting_is_a_parse_error(self):
         text = "graph [ node [ id 1 ] " + "x [ " * 5000 + "] " * 5001
         with pytest.raises(ValueError, match="^line 1: blocks nested too deeply"):
-            parse_topology(text, "gml")
+            parse_topology(io.StringIO(text), "gml")
 
     def test_first_scalar_value_of_a_key_wins(self):
         nodes, labels, edges = _parse_gml(
             'graph [ node [ id [ x 9 ] id 1 id 2 label "a" label "b" ] ]')
         assert (nodes, labels, edges) == ({1}, {1: "a"}, [])
 
+    def test_missing_path_with_a_space_is_no_topology_text(self, tmp_path):
+        missing = tmp_path / "no such dir" / "net.gml"
+        with pytest.raises(FileNotFoundError):
+            parse_topology(str(missing), "gml")
+
     def test_missing_graph_block(self):
         with pytest.raises(ValueError, match="graph"):
-            parse_topology("node [ id 1 ]\n", "gml")
+            parse_topology(io.StringIO("node [ id 1 ]\n"), "gml")
 
     def test_roundtrip(self, tmp_path):
         g = generate_topology(40, 60, seed=5)
@@ -98,10 +106,10 @@ class TestParseGml:
                 "node [ id 4 ] edge [ source 1 target 2 ] "
                 "edge [ source 3 target 4 ] ]")
         with pytest.raises(ValueError, match="disconnected"):
-            parse_topology(text, "gml")
+            parse_topology(io.StringIO(text), "gml")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g = parse_topology(text, "gml", largest_component=True)
+            g = parse_topology(io.StringIO(text), "gml", largest_component=True)
         assert g.node_count == 2
         assert any("largest component" in str(w.message) for w in caught)
 
@@ -110,7 +118,7 @@ class TestParseGml:
         text = "1 2\n3 4\n4 5\n"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            g = parse_topology(text, "edges", largest_component=True)
+            g = parse_topology(io.StringIO(text), "edges", largest_component=True)
         assert g.nodes == {3, 4, 5}
         assert g.server == 3
         assert g.is_connected()
@@ -120,7 +128,7 @@ class TestParseGml:
                 "edge [ source 1 target 1 ] edge [ source 1 target 2 ] ]")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            g = parse_topology(text, "gml")
+            g = parse_topology(io.StringIO(text), "gml")
         assert g.edge_count == 1
         assert any("self-loop" in str(w.message) for w in caught)
 
@@ -144,23 +152,24 @@ def test_gml_text_parses_or_names_a_line(words):
 
 class TestParseEdges:
     def test_path_graph(self):
-        g = parse_topology("a b\nb c\n", "edges")
+        g = parse_topology(io.StringIO("a b\nb c\n"), "edges")
         assert g.node_count == 3 and g.edge_count == 2
 
     def test_comments_and_blanks(self):
-        g = parse_topology("# header\n\n1 2  # trailing\n2 3\n", "edges")
+        text = "# header\n\n1 2  # trailing\n2 3\n"
+        g = parse_topology(io.StringIO(text), "edges")
         assert g.node_count == 3
         assert g.server == 1  # numeric tokens become integers
 
     def test_malformed_line_numbered(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_topology("1 2\n3 4 5\n", "edges")
+            parse_topology(io.StringIO("1 2\n3 4 5\n"), "edges")
 
     def test_comment_only_and_trailing_comment_lines(self):
-        g = parse_topology("#\n1 2 # 3\n", "edges")
+        g = parse_topology(io.StringIO("#\n1 2 # 3\n"), "edges")
         assert g.edges == {frozenset((1, 2))}
         with pytest.raises(ValueError, match="^line 2: expected 'a b'"):
-            parse_topology("# only a comment\n1 # 2\n", "edges")
+            parse_topology(io.StringIO("# only a comment\n1 # 2\n"), "edges")
 
     def test_roundtrip(self, tmp_path):
         g = generate_topology(25, 31, seed=9)
@@ -206,8 +215,6 @@ class TestDistributions:
         mapping = zipf_rank_to_view(dist)
         assert mapping[0] == 6
         assert sorted(mapping) == list(range(1, 13))
-        ident = DemandDistribution("zipf", 12, exponent=2, center_out=False)
-        assert zipf_rank_to_view(ident) == list(range(1, 13))
 
     def test_gaussian_clamped_to_range(self):
         dist = DemandDistribution("gaussian", 12, variance=400)
