@@ -2,9 +2,11 @@
 single view, and the expansion cost of extending two source views to the
 clients of the views synthesized between them.
 
-Arc sets are int bitmasks over the tree's arc numbering (bit i is
-`tree.arc_list[i]`), built from `ShortestPathTree.path_mask`; arcs are
-decoded into frozensets only where a function returns them.
+Arc sets are int bitmasks over the tree's arc numbering, built from
+`ShortestPathTree.path_mask` and decoded by `tree.arcs_of` only where a
+function returns arcs.  A hand-built tree numbers its own arcs (bit i is
+`tree.arc_list[i]`); a `build_spt` tree uses its graph's numbering, so
+its masks may leave bits unused.
 
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.
@@ -86,12 +88,18 @@ def _delivery_masks(masks: dict, theta) -> dict:
 
 def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
     """Views carried on each arc: the union of need-sets of all terminals
-    whose root path crosses the arc."""
+    whose root path crosses the arc.  Arcs come in bit order."""
+    return delivery_loads(tree, _delivery_masks(view_masks(tree, demand), theta))
+
+
+def delivery_loads(tree: ShortestPathTree, delivery: dict) -> dict:
+    """Views carried on each arc that carries any, in bit order, given
+    each transmitted view's delivery tree as a mask."""
     loads = {}
-    for w, mask in _delivery_masks(view_masks(tree, demand), theta).items():
+    for w, mask in delivery.items():
         for arc in tree.arcs_of(mask):
             loads.setdefault(arc, set()).add(w)
-    return {a: frozenset(v) for a, v in loads.items()}
+    return {a: frozenset(loads[a]) for a in tree.arc_list if a in loads}
 
 
 def evaluate_cost(tree: ShortestPathTree, demand: DemandMap, theta,

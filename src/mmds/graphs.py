@@ -72,6 +72,18 @@ class NetworkGraph:
         return {n: min(m for m in self._adj[n] if dist[m] == d - 1)
                 for n, d in dist.items() if d}
 
+    @cached_property
+    def spt(self) -> ShortestPathTree:
+        """The shortest-path tree over `spt_parents` to every reachable
+        non-server node, taken in (distance, `repr`) order, so arc i is
+        the arc into the i-th node in that order.  `build_spt` cuts it
+        down to a sample's terminals.  Built on first use, once per
+        graph."""
+        dist = self.dist
+        order = sorted((n for n, d in dist.items() if d),
+                       key=lambda n: (dist[n], repr(n)))
+        return ShortestPathTree(self.server, self.spt_parents, order)
+
     @property
     def node_count(self):
         return len(self.nodes)
@@ -98,25 +110,30 @@ class ShortestPathTree:
 
     Arcs point away from the root.  Every non-root node has exactly one
     parent and every terminal is reachable from the root.  `parents` may
-    hold nodes off the terminals' root paths; they get no arc.  Arcs are
-    numbered as the walks up from the terminals, in the order given,
-    meet them, each walk's new arcs top-down: bit i of a mask stands for
-    `arc_list[i]`.  `path_mask` maps every node on a terminal's root path
-    to the mask of that path, its parent's mask plus its own arc's bit,
-    computed once per node.
+    hold nodes off the terminals' root paths; they get no arc.
+
+    Arc sets are int bitmasks; `arcs_of` decodes one.  The constructor
+    numbers the arcs as the walks up from the terminals, in the order
+    given, meet them, each walk's new arcs top-down, and `path_mask` maps
+    every node on a terminal's root path to the mask of that path, its
+    parent's mask plus its own arc's bit, computed once per node.  A tree
+    from `restrict` keeps the numbering of the tree it was cut from and
+    holds only its terminals' masks.  Either way `arc_list` lists the
+    tree's own arcs in bit order; for a constructed tree bit i is
+    `arc_list[i]`.
     """
 
     def __init__(self, root, parents, terminals):
         self.root = root
         self.parents = dict(parents)
-        order = tuple(dict.fromkeys(terminals))
-        self.terminals = frozenset(order)
+        self._order = tuple(dict.fromkeys(terminals))
+        self.terminals = frozenset(self._order)
         if root in self.parents:
             raise ValueError("root must not have a parent")
         parents = self.parents
-        arc_list = []
+        numbering = []
         path_mask = {root: 0}
-        for t in order:
+        for t in self._order:
             climb = []
             n = t
             while n not in path_mask:
@@ -129,24 +146,57 @@ class ShortestPathTree:
                 n = parents[n]
             mask = path_mask[n]
             for c in reversed(climb):
-                mask |= 1 << len(arc_list)
-                arc_list.append((parents[c], c))
+                mask |= 1 << len(numbering)
+                numbering.append((parents[c], c))
                 path_mask[c] = mask
-        self.arc_list = arc_list
+        self._numbering = numbering   # bit i stands for numbering[i]
         self.path_mask = path_mask
-        self.depth = {t: path_mask[t].bit_count() for t in order}
-        self.arcs = frozenset(arc_list)
+
+    def restrict(self, terminals) -> ShortestPathTree:
+        """This tree cut down to `terminals`, a subset of its own, in the
+        order given.  The cut tree shares the root, `parents` and bit
+        numbering; its `path_mask` holds just the terminals' masks."""
+        cut = object.__new__(ShortestPathTree)
+        cut.root, cut.parents = self.root, self.parents
+        cut._order = tuple(dict.fromkeys(terminals))
+        cut.terminals = frozenset(cut._order)
+        cut._numbering = self._numbering
+        path_mask = self.path_mask
+        cut.path_mask = {t: path_mask[t] for t in cut._order}
+        return cut
+
+    def _decode(self, mask):
+        """The arcs whose bits are set in `mask`, in bit order."""
+        # bin() lists the bits highest first, so reversed, char i is bit i
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return compress(self._numbering, bits)
 
     def arcs_of(self, mask) -> frozenset:
         """The arcs whose bits are set in `mask`."""
-        # bin() lists the bits highest first, so reversed, char i is bit i
-        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-        return frozenset(compress(self.arc_list, bits))
+        return frozenset(self._decode(mask))
+
+    @cached_property
+    def arc_list(self) -> list:
+        """The tree's arcs in bit order."""
+        union = 0
+        for t in self._order:
+            union |= self.path_mask[t]
+        return list(self._decode(union))
+
+    @cached_property
+    def arcs(self) -> frozenset:
+        return frozenset(self.arc_list)
+
+    @cached_property
+    def depth(self) -> dict:
+        """Each terminal's hop count from the root, in terminal order."""
+        return {t: self.path_mask[t].bit_count() for t in self._order}
 
     @cached_property
     def path_arcs(self) -> dict:
-        """Each terminal's root path as a frozenset of arcs."""
-        return {t: self.arcs_of(self.path_mask[t]) for t in self.terminals}
+        """Each terminal's root path as a frozenset of arcs, in terminal
+        order."""
+        return {t: self.arcs_of(self.path_mask[t]) for t in self._order}
 
     def __eq__(self, other):
         return (isinstance(other, ShortestPathTree)
@@ -163,8 +213,10 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
 
     Equal-distance parent candidates are broken by smallest node
     identifier (`NetworkGraph.spt_parents`), so identical inputs always
-    produce identical trees.  The tree's `parents` is that whole map, but
-    its arcs and masks cover only the terminals' root paths, in their order.
+    produce identical trees.  The tree is the graph's own (`graph.spt`)
+    cut down to the terminals, in their order: its `parents` is the whole
+    parent map and its masks use the graph tree's arc numbering, but its
+    arcs cover only the terminals' root paths.
     """
     terminals = tuple(terminals)
     missing = set(terminals) - graph.nodes
@@ -175,7 +227,7 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     if unreachable:
         raise ValueError(f"terminal {min(unreachable, key=repr)!r} is "
                          f"unreachable from server {graph.server!r}")
-    return ShortestPathTree(graph.server, graph.spt_parents, terminals)
+    return graph.spt.restrict(terminals)
 
 
 class DemandMap:

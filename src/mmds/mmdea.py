@@ -36,6 +36,7 @@ alone exceeds the best price so far.  Equal prices go to the smallest j.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cost import INFEASIBLE, evaluate_cost, view_masks
@@ -133,8 +134,9 @@ def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
     """Fraction of terminals that receive two distinct views."""
     if not demand.demand:
         return 0.0
-    two = sum(1 for v in demand.demand.values()
-              if result.theta[v][0] != result.theta[v][1])
+    theta = result.theta
+    two = sum(n for v, n in Counter(demand.demand.values()).items()
+              if theta[v][0] != theta[v][1])
     return two / len(demand.demand)
 
 

@@ -250,7 +250,7 @@ class TestPathMasksAgainstReference:
         for _ in range(200):
             self.assert_matches_reference(*random_tree_instance(rng), 3)
 
-    @pytest.mark.parametrize("clients", [400, 753])
+    @pytest.mark.parametrize("clients", [10, 60, 400, 753])
     def test_bundled_topology(self, clients):
         graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
         nodes = sorted(n for n in graph.nodes if n != graph.server)

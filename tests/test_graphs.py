@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmds
-from mmds import (DemandMap, NetworkGraph, ShortestPathTree, build_spt,
-                  check_quality, identity_selection, segment_views,
-                  transmitted_views, validate_selection)
+from mmds import (DemandDistribution, DemandMap, NetworkGraph,
+                  ShortestPathTree, build_spt, check_quality, evaluate_cost,
+                  identity_selection, sample_demand, segment_views,
+                  transmitted_views, validate_selection, view_trees)
+from mmds import graphs
+from mmds.cli import run_solver
 from mmds.instances import demo_instance
 from mmds.workload import parse_topology
 
@@ -102,11 +105,92 @@ class TestBuildSpt:
             build_spt(g, [1, 2])
 
 
+def random_graph(rng, n, name=lambda i: i):
+    """Connected random graph on n nodes named name(0..n-1), server
+    name(0): a random spanning tree plus up to n extra edges."""
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+    return NetworkGraph(map(name, range(n)),
+                        [(name(a), name(b)) for a, b in edges if a != b], name(0))
+
+
+def bundled_graph():
+    return parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+
+
+class TestBuildSptAgainstConstructor:
+    """build_spt cuts the graph's tree down to the terminals; the cut tree
+    must describe the tree the constructor builds over the graph's
+    parents, whatever the two numberings."""
+
+    @staticmethod
+    def assert_same_tree(graph, terms, demand, D, solvers):
+        got = build_spt(graph, terms)
+        want = ShortestPathTree(graph.server, graph.spt_parents, terms)
+        assert got.arcs == want.arcs
+        assert list(got.depth.items()) == list(want.depth.items())
+        assert got.terminals == want.terminals
+        assert list(got.path_arcs.items()) == list(want.path_arcs.items())
+        assert view_trees(got, demand) == view_trees(want, demand)
+        thetas = [identity_selection(demand)]
+        for name in solvers:
+            a = run_solver(name, got, demand, D, "exact")
+            b = run_solver(name, want, demand, D, "exact")
+            assert (a.total, a.theta) == (b.total, b.theta), name
+            thetas.append(a.theta)
+        for theta in thetas:
+            assert evaluate_cost(got, demand, theta) == \
+                evaluate_cost(want, demand, theta)
+
+    @pytest.mark.parametrize("name", [lambda i: i, lambda i: f"n{i:02d}"],
+                             ids=["int", "str"])
+    def test_random_graphs(self, rng, name):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 40), name)
+            others = sorted(g.nodes - {g.server}, key=repr)
+            terms = rng.sample(others, rng.randint(1, min(8, len(others))))
+            if rng.random() < 0.2:
+                terms.append(g.server)
+            K = rng.randint(1, 8)
+            demand = DemandMap({t: rng.randint(1, K) for t in terms}, K)
+            self.assert_same_tree(g, terms, demand, rng.randint(2, 4),
+                                  ("omds", "mmdea", "emmdea", "hmmdea",
+                                   "oracle", "oracle-ext"))
+
+    def test_bundled_topology(self, rng):
+        g = bundled_graph()
+        nodes = sorted(g.nodes - {g.server})
+        for clients in (1, 30, 400, 753):
+            terms = rng.sample(nodes, clients)
+            demand = sample_demand(DemandDistribution("zipf", 24, exponent=1),
+                                   terms, seed=clients)
+            self.assert_same_tree(g, terms, demand, 4,
+                                  ("omds", "mmdea", "emmdea", "hmmdea"))
+
+    def test_graph_tree_is_built_once(self, rng, monkeypatch):
+        sizes = []
+        real = graphs.ShortestPathTree.__init__
+
+        def counted(self, root, parents, terminals):
+            terminals = tuple(terminals)
+            sizes.append(len(terminals))
+            real(self, root, parents, terminals)
+        monkeypatch.setattr(graphs.ShortestPathTree, "__init__", counted)
+        g = bundled_graph()
+        nodes = sorted(g.nodes - {g.server})
+        for _ in range(20):
+            build_spt(g, rng.sample(nodes, 400))
+        assert sizes == [len(nodes)]
+
+
 ARC_ORDER_SCRIPT = """
-from mmds import demo_instance, h_solve
+from mmds import demo_instance, edge_view_loads, h_solve
 tree, demand = demo_instance()
+result = h_solve(tree, demand, 4)
 print(tree.arc_list)
-print(list(h_solve(tree, demand, 4).arc_views))
+print(list(result.arc_views))
+print(list(edge_view_loads(tree, demand, result.theta)))
+print(list(tree.path_arcs))
 """
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
-                  ShortestPathTree, brute_force_mmds, evaluate_cost,
+                  ShortestPathTree, brute_force_mmds, evaluate_cost, h_solve,
                   identity_selection, omds, segment_views, solve_d2, solve_d3,
-                  solve_general, solve_segment)
+                  solve_general, solve_segment, two_view_fraction)
 from mmds.cost import view_masks
 from mmds.instances import demo_instance
 from mmds.mmdea import PHI_MODES, SolverError, Variant, backtrack
@@ -204,6 +204,37 @@ def test_terminal_at_the_server_consumes_nothing():
     res = solve_general(tree, demand, 2)
     assert res.total == 1  # only the arc to the remote client carries a view
     assert res.theta == {3: (3, 3), 5: (5, 5)}
+
+
+def per_terminal_two_view_fraction(result, demand):
+    two = sum(1 for v in demand.demand.values()
+              if result.theta[v][0] != result.theta[v][1])
+    return two / len(demand.demand)
+
+
+class TestTwoViewFraction:
+    """Counting terminals per desired view gives the float the
+    per-terminal count gives."""
+
+    def test_random_trees(self, rng):
+        for _ in range(100):
+            tree, demand = random_tree_instance(rng, max_views=14)
+            for result in (solve_general(tree, demand, rng.choice([2, 3, 4])),
+                           h_solve(tree, demand, 3)):
+                assert two_view_fraction(result, demand) == \
+                    per_terminal_two_view_fraction(result, demand)
+
+    def test_bundled_instances(self):
+        fractions = set()
+        for seed in range(4):
+            for dist in (DemandDistribution("uniform", 12),
+                         DemandDistribution("zipf", 24, exponent=1)):
+                tree, demand = bundled_instance(dist, seed, clients=400)
+                result = solve_general(tree, demand, 5)
+                got = two_view_fraction(result, demand)
+                assert got == per_terminal_two_view_fraction(result, demand)
+                fractions.add(got)
+        assert len(fractions) > 1 and 0 < min(fractions)
 
 
 class TestBacktrack:
