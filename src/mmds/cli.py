@@ -118,12 +118,12 @@ def _run_sample(args, candidates=None):
         raise ValueError(f"cannot place {config.clients} clients on "
                          f"{len(candidates)} non-server nodes")
     picks = rng.choice(len(candidates), size=config.clients, replace=False)
-    terminals = [candidates[i] for i in sorted(picks)]
+    terminals = [candidates[i] for i in np.sort(picks).tolist()]
     demand = sample_demand(parse_dist(config.dist, config.views), terminals, rng)
     tree = build_spt(graph, terminals)
     rows = []
     base = _echo(config)
-    base.update({"sample": index, "sample_seed": sample_seed_of(config.seed, index)})
+    base.update({"sample": index, "sample_seed": int(ss.generate_state(1)[0])})
     for solver in config.solvers:
         rows.append(_solver_row(base, solver, tree, demand, config.d, config.phi))
     return rows

@@ -89,14 +89,8 @@ def _delivery_masks(masks: dict, theta) -> dict:
 def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
     """Views carried on each arc: the union of need-sets of all terminals
     whose root path crosses the arc.  Arcs come in bit order."""
-    return delivery_loads(tree, _delivery_masks(view_masks(tree, demand), theta))
-
-
-def delivery_loads(tree: ShortestPathTree, delivery: dict) -> dict:
-    """Views carried on each arc that carries any, in bit order, given
-    each transmitted view's delivery tree as a mask."""
     loads = {}
-    for w, mask in delivery.items():
+    for w, mask in _delivery_masks(view_masks(tree, demand), theta).items():
         for arc in tree.arcs_of(mask):
             loads.setdefault(arc, set()).add(w)
     return {a: frozenset(loads[a]) for a in tree.arc_list if a in loads}

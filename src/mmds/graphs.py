@@ -9,7 +9,7 @@ synthesized from the two transmitted source views.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -158,11 +158,11 @@ class ShortestPathTree:
         numbering; its `path_mask` holds just the terminals' masks."""
         cut = object.__new__(ShortestPathTree)
         cut.root, cut.parents = self.root, self.parents
-        cut._order = tuple(dict.fromkeys(terminals))
+        path_mask = self.path_mask
+        cut.path_mask = {t: path_mask[t] for t in terminals}  # repeats dropped
+        cut._order = tuple(cut.path_mask)
         cut.terminals = frozenset(cut._order)
         cut._numbering = self._numbering
-        path_mask = self.path_mask
-        cut.path_mask = {t: path_mask[t] for t in cut._order}
         return cut
 
     def _decode(self, mask):
@@ -219,13 +219,14 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     arcs cover only the terminals' root paths.
     """
     terminals = tuple(terminals)
-    missing = set(terminals) - graph.nodes
-    if missing:
-        raise ValueError(f"terminals not in graph: {sorted(missing, key=repr)}")
     dist = graph.dist
-    unreachable = [t for t in terminals if t not in dist]
-    if unreachable:
-        raise ValueError(f"terminal {min(unreachable, key=repr)!r} is "
+    off = [t for t in terminals if t not in dist]
+    if off:
+        # every node in dist is in the graph, so missing terminals are off it
+        missing = set(off) - graph.nodes
+        if missing:
+            raise ValueError(f"terminals not in graph: {sorted(missing, key=repr)}")
+        raise ValueError(f"terminal {min(off, key=repr)!r} is "
                          f"unreachable from server {graph.server!r}")
     return graph.spt.restrict(terminals)
 
@@ -238,14 +239,16 @@ class DemandMap:
         if self.universe_size < 1:
             raise ValueError("universe_size must be >= 1")
         self.demand = dict(demand)
-        for t, v in self.demand.items():
-            if not (1 <= v <= self.universe_size):
-                raise ValueError(f"view {v} for terminal {t!r} outside 1..{self.universe_size}")
+        self.view_counts = Counter(self.demand.values())  # terminals per view
+        if not all(1 <= v <= self.universe_size for v in self.view_counts):
+            t, v = next((t, v) for t, v in self.demand.items()
+                        if not 1 <= v <= self.universe_size)
+            raise ValueError(f"view {v} for terminal {t!r} outside 1..{self.universe_size}")
         if terminals is not None:
             extra = set(self.demand) - set(terminals)
             if extra:
                 raise ValueError(f"demand keys are not terminals: {sorted(extra, key=repr)}")
-        self.desired_views = tuple(sorted(set(self.demand.values())))
+        self.desired_views = tuple(sorted(self.view_counts))
 
     def __eq__(self, other):
         return (isinstance(other, DemandMap)

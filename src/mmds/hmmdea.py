@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .cost import cost_of_parts, delivery_loads
+from .cost import cost_of_parts
 from .graphs import DemandMap, Segment, ShortestPathTree
 from .mmdea import SolveResult, SolverError, solve_by_segment
 
@@ -27,16 +27,13 @@ from .mmdea import SolveResult, SolverError, solve_by_segment
 @dataclass
 class HeuristicResult(SolveResult):
     round_costs: list = field(default_factory=list)
-    arc_views: dict = field(default_factory=dict)
 
 
-def _improve(seg: Segment, masks: dict, D: int, moves: list,
-             delivery: dict) -> tuple:
+def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
     """Greedy over one segment's transmitted views; appends each committed
-    move to `moves` as (-gain, view, width), leaves each transmitted
-    view's final delivery tree in `delivery` and returns (cost, theta)."""
+    move to `moves` as (-gain, view, width) and returns (cost, theta)."""
     theta = {v: (v, v) for v in seg.members}
-    delivery.update((v, masks[v]) for v in seg.members)  # view -> its arcs
+    delivery = {v: masks[v] for v in seg.members}  # view -> its arcs
     active = list(seg.members)   # transmitted views, ascending
     sources = set()
     cost = sum(arcs.bit_count() for arcs in delivery.values())
@@ -72,19 +69,15 @@ def _improve(seg: Segment, masks: dict, D: int, moves: list,
 def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
     """Improvement heuristic over transmitted views; the result always
     sits between the optimum and direct delivery.  `round_costs` lists the
-    total after each round of one greedy over all segments; `arc_views`
-    is read off the segments' final delivery trees."""
-    moves, trees = [], []   # per segment: committed moves, delivery trees
+    total after each round of one greedy over all segments; the views on
+    each arc are `cost.edge_view_loads(tree, demand, result.theta)`."""
+    moves = []   # per segment: its committed moves
 
     def solve_one(seg, masks):
         moves.append([])
-        trees.append({})
-        return _improve(seg, masks, D, moves[-1], trees[-1])
+        return _improve(seg, masks, D, moves[-1])
 
     result = solve_by_segment("hmmdea", tree, demand, D, solve_one)
     changes = [change for change, _, _ in heapq.merge(*moves)]
     history = list(accumulate(changes, initial=result.total - sum(changes)))
-    loads = delivery_loads(tree, {w: m for seg in trees for w, m in seg.items()})
-    arc_views = {arc: loads.get(arc, frozenset()) for arc in tree.arc_list}
-    return HeuristicResult(**vars(result), round_costs=history,
-                           arc_views=arc_views)
+    return HeuristicResult(**vars(result), round_costs=history)

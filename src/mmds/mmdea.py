@@ -36,7 +36,6 @@ alone exceeds the best price so far.  Equal prices go to the smallest j.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .cost import INFEASIBLE, evaluate_cost, view_masks
@@ -135,7 +134,7 @@ def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
     if not demand.demand:
         return 0.0
     theta = result.theta
-    two = sum(n for v, n in Counter(demand.demand.values()).items()
+    two = sum(n for v, n in demand.view_counts.items()
               if theta[v][0] != theta[v][1])
     return two / len(demand.demand)
 

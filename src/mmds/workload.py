@@ -267,16 +267,15 @@ def sample_demand(dist: DemandDistribution, terminals, seed=0) -> DemandMap:
     terms = sorted(terminals, key=repr)
     K = dist.view_count
     if dist.kind == "uniform":
-        views = rng.integers(1, K + 1, size=len(terms))
+        views = rng.integers(1, K + 1, size=len(terms)).tolist()
     elif dist.kind == "gaussian":
         raw = rng.normal(0.5 * K, dist.variance ** 0.5, size=len(terms))
-        views = np.clip(np.rint(raw), 1, K).astype(int)
+        views = np.clip(np.rint(raw), 1, K).astype(int).tolist()
     else:
-        pmf = zipf_pmf(dist)
-        ranks = rng.choice(K, size=len(terms), p=pmf)
+        ranks = rng.choice(K, size=len(terms), p=zipf_pmf(dist)).tolist()
         mapping = zipf_rank_to_view(dist)
         views = [mapping[r] for r in ranks]
-    return DemandMap({t: int(v) for t, v in zip(terms, views)}, K)
+    return DemandMap(zip(terms, views), K)
 
 
 def read_demand(path, universe_size=None) -> DemandMap:

@@ -4,7 +4,9 @@ import logging
 import multiprocessing
 import os
 from importlib.resources import files
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mmds import cli
@@ -12,7 +14,8 @@ from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
 from mmds.instances import DEMO_DEMAND, demo_graph
 from mmds.mmdea import SolverError
-from mmds.workload import generate_topology, write_edges
+from mmds.workload import (generate_topology, parse_topology, write_edges,
+                           zipf_pmf, zipf_rank_to_view)
 
 KDL_PATH = str(files("mmds.data") / "kdl_754_895.gml")
 
@@ -304,7 +307,90 @@ class TestSerialAndPooledRuns:
         assert strip_runtimes(pooled) == strip_runtimes(serial)
 
 
-fork_only = pytest.mark.skipif(
+def reference_draw(config, candidates, index):
+    """Client placement and demand draw of `_run_sample` written out over
+    numpy scalars: `sorted` over the picks, `int` per drawn view and a
+    fresh SeedSequence for the sample seed.  Returns (terminals, demand
+    dict, sample seed)."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(index,)))
+    picks = rng.choice(len(candidates), size=config.clients, replace=False)
+    terminals = [candidates[i] for i in sorted(picks)]
+    dist = cli.parse_dist(config.dist, config.views)
+    terms = sorted(terminals, key=repr)
+    K = dist.view_count
+    if dist.kind == "uniform":
+        views = rng.integers(1, K + 1, size=len(terms))
+    elif dist.kind == "gaussian":
+        raw = rng.normal(0.5 * K, dist.variance ** 0.5, size=len(terms))
+        views = np.clip(np.rint(raw), 1, K).astype(int)
+    else:
+        ranks = rng.choice(K, size=len(terms), p=zipf_pmf(dist))
+        views = [zipf_rank_to_view(dist)[r] for r in ranks]
+    demand = {t: int(v) for t, v in zip(terms, views)}
+    return terminals, demand, cli.sample_seed_of(config.seed, index)
+
+
+class TestSampleDraw:
+    @pytest.mark.parametrize("dist", ["uniform", "gaussian:4", "zipf:1"])
+    def test_draw_matches_reference(self, monkeypatch, dist):
+        seen = []
+        real_build_spt = cli.build_spt
+
+        def build_spt(graph, terminals):
+            seen.append(terminals)
+            return real_build_spt(graph, terminals)
+        monkeypatch.setattr(cli, "build_spt", build_spt)
+        # the solver row is skipped: it hands back what the solvers get
+        monkeypatch.setattr(cli, "_solver_row",
+                            lambda base, solver, tree, demand, D, phi:
+                            (base["sample_seed"], demand))
+        graph = parse_topology(KDL_PATH)
+        candidates = cli._client_candidates(graph)
+        for clients in (1, 400, 753):
+            for k in range(20):
+                cfg = ScenarioConfig(topology=KDL_PATH, views=12, d=5,
+                                     clients=clients, dist=dist,
+                                     solvers=("omds",), seed=97 * k + 3)
+                index = 13 * k
+                [(sample_seed, demand)] = cli._run_sample((cfg, graph, index),
+                                                          candidates)
+                terminals, want, want_seed = reference_draw(cfg, candidates,
+                                                            index)
+                assert seen.pop() == terminals
+                assert list(demand.demand.items()) == list(want.items())
+                assert sample_seed == want_seed
+                assert type(sample_seed) is int
+                assert all(type(t) is int and type(v) is int
+                           for t, v in demand.demand.items())
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# Each committed CSV is `mmds run` at the parent of the change that added
+# it, with runtime_ms cut; CI diffs the installed command against it.
+EXPECTED_RUNS = {
+    "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
+    "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
+                              solvers=("omds", "mmdea", "emmdea", "hmmdea"),
+                              samples=4),
+    "headline_gaussian4.csv": dict(views=12, d=5, clients=400,
+                                   dist="gaussian:4", samples=20),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTED_RUNS)
+def test_output_matches_committed_csv(monkeypatch, name):
+    monkeypatch.chdir(ROOT)  # the topology column is the path as given
+    config = ScenarioConfig(topology="src/mmds/data/kdl_754_895.gml",
+                            seed=2024, **EXPECTED_RUNS[name])
+    out = io.StringIO()
+    write_csv(run_scenario(config), out)
+    got = strip_runtimes(csv.DictReader(io.StringIO(out.getvalue())))
+    with open(ROOT / "tests" / "data" / name, newline="", encoding="utf-8") as fh:
+        assert got == list(csv.DictReader(fh))
+
+
+fork_only =pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="patched worker functions reach the pool only by fork")
 

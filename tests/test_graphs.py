@@ -104,6 +104,22 @@ class TestBuildSpt:
         with pytest.raises(ValueError, match="2.*unreachable|unreachable.*2"):
             build_spt(g, [1, 2])
 
+    def test_missing_terminal_message(self):
+        g = NetworkGraph([0, 1, 2, 3], [(0, 1), (2, 3)], 0)
+        with pytest.raises(ValueError) as err:
+            build_spt(g, [1, 9, 10])
+        assert str(err.value) == "terminals not in graph: [10, 9]"
+
+    def test_missing_terminals_are_named_before_unreachable_ones(self):
+        # 3 and 2 are unreachable, 9 and "x" are not nodes at all
+        g = NetworkGraph([0, 1, 2, 3], [(0, 1), (2, 3)], 0)
+        with pytest.raises(ValueError) as err:
+            build_spt(g, [3, 9, 1, 2, "x", 9])
+        assert str(err.value) == "terminals not in graph: ['x', 9]"
+        with pytest.raises(ValueError) as err:
+            build_spt(g, [3, 1, 2])
+        assert str(err.value) == "terminal 2 is unreachable from server 0"
+
 
 def random_graph(rng, n, name=lambda i: i):
     """Connected random graph on n nodes named name(0..n-1), server
@@ -188,7 +204,6 @@ from mmds import demo_instance, edge_view_loads, h_solve
 tree, demand = demo_instance()
 result = h_solve(tree, demand, 4)
 print(tree.arc_list)
-print(list(result.arc_views))
 print(list(edge_view_loads(tree, demand, result.theta)))
 print(list(tree.path_arcs))
 """
@@ -226,6 +241,18 @@ class TestDemandMap:
     def test_view_range_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             DemandMap({1: 5}, 4)
+
+    def test_first_terminal_out_of_range_is_named(self):
+        with pytest.raises(ValueError) as err:
+            DemandMap({"a": 2, "b": 9, "c": 0, "d": 9, "e": 0}, 4)
+        assert str(err.value) == "view 9 for terminal 'b' outside 1..4"
+        with pytest.raises(ValueError) as err:
+            DemandMap({"a": 2, "c": 0, "b": 9}, 4)
+        assert str(err.value) == "view 0 for terminal 'c' outside 1..4"
+
+    def test_view_counts(self):
+        d = DemandMap({1: 3, 2: 1, 3: 3, 4: 5}, 5)
+        assert d.view_counts == {3: 2, 1: 1, 5: 1}
 
     def test_keys_must_be_terminals(self):
         with pytest.raises(ValueError, match="not terminals"):
