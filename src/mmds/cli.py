@@ -18,6 +18,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
+# loaded here, before a pool forks, so no worker pays the import
+from numpy.random import SeedSequence, default_rng
 
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import build_spt, check_quality
@@ -34,6 +36,18 @@ CSV_COLUMNS = ("topology", "views", "clients", "dist", "d", "phi", "samples",
                "seed", "sample", "sample_seed", "solver", "status",
                "total_bandwidth", "evaluated_cost", "two_view_fraction",
                "runtime_ms", "error")
+
+REFUSALS = (OracleGuardError, StateSpaceError)  # exit 2, or an error row
+# How `main` ends a command that raised: the first entry whose classes
+# match gives the exit code and the stderr prefix ({} takes the class
+# name).  Order matters: OracleGuardError is a ValueError.
+OUTCOMES = (
+    (REFUSALS, 2, "refused: "),
+    (BrokenProcessPool, 3, "error: worker pool failed: "),
+    (SolverError, 3, "internal error: "),
+    ((ValueError, OSError), 1, "error: "),
+    (Exception, 3, "internal error: {}: "),
+)
 
 
 @dataclass
@@ -88,7 +102,7 @@ def run_solver(name: str, tree, demand, D: int, phi: str):
 
 
 def sample_seed_of(master: int, index: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
+    return int(SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _echo(config: ScenarioConfig):
@@ -104,16 +118,12 @@ def _client_candidates(graph):
     return sorted((n for n in graph.nodes if n != graph.server), key=repr)
 
 
-def _run_sample(args, candidates=None):
-    """Rows of one sample; `args` is (config, graph, index) and
-    `candidates` is `_client_candidates(graph)`, computed when omitted."""
-    config, graph, index = args
+def _run_sample(config, graph, candidates, index):
+    """Rows of sample `index`; `candidates` is `_client_candidates(graph)`."""
     if config.clients < 1:
         raise ValueError("no desired views")
-    ss = np.random.SeedSequence(config.seed, spawn_key=(index,))
-    rng = np.random.default_rng(ss)
-    if candidates is None:
-        candidates = _client_candidates(graph)
+    ss = SeedSequence(config.seed, spawn_key=(index,))
+    rng = default_rng(ss)
     if config.clients > len(candidates):
         raise ValueError(f"cannot place {config.clients} clients on "
                          f"{len(candidates)} non-server nodes")
@@ -121,34 +131,31 @@ def _run_sample(args, candidates=None):
     terminals = [candidates[i] for i in np.sort(picks).tolist()]
     demand = sample_demand(parse_dist(config.dist, config.views), terminals, rng)
     tree = build_spt(graph, terminals)
-    rows = []
     base = _echo(config)
     base.update({"sample": index, "sample_seed": int(ss.generate_state(1)[0])})
-    for solver in config.solvers:
-        rows.append(_solver_row(base, solver, tree, demand, config.d, config.phi))
-    return rows
+    return [_solver_row(base, s, tree, demand, config.d, config.phi)
+            for s in config.solvers]
 
 
-# A pool worker's graph and client candidates, set once by _init_worker,
+# A pool worker's (config, graph, candidates), set once by _init_worker,
 # or the exception that stopped it.
 _worker = {}
 
 
-def _init_worker(graph, candidates):
+def _init_worker(args):
     # an initializer that raises makes every worker print a traceback, so
     # the failure is kept and reported by the worker's first task instead
     try:
-        _worker.update(graph=graph, candidates=candidates)
+        _worker.update(args=args)
     except Exception as exc:
         _worker["error"] = exc
 
 
-def _run_pooled_sample(args):
-    """Rows of one sample in a pool worker; `args` is (config, index)."""
+def _run_pooled_sample(index):
+    """Rows of sample `index` in a pool worker."""
     if "error" in _worker:
         raise BrokenProcessPool(f"worker initializer failed: {_worker['error']!r}")
-    config, index = args
-    return _run_sample((config, _worker["graph"], index), _worker["candidates"])
+    return _run_sample(*_worker["args"], index)
 
 
 def _solver_row(base, solver, tree, demand, D, phi):
@@ -158,7 +165,7 @@ def _solver_row(base, solver, tree, demand, D, phi):
     try:
         result = run_solver(solver, tree, demand, D, phi)
     except Exception as exc:  # one failing solve must not abort the batch
-        refused = isinstance(exc, (OracleGuardError, StateSpaceError))
+        refused = isinstance(exc, REFUSALS)
         error = str(exc) if refused else f"{type(exc).__name__}: {exc}"
         # "fault" is no CSV column; it makes `mmds run` exit 3
         row.update({"status": "error", "error": error, "fault": not refused,
@@ -199,16 +206,15 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
     candidates = _client_candidates(graph)
     workers = min(os.cpu_count() or 1, config.samples)
     if workers > 1 and config.samples > 1:
-        # each worker receives the graph once; a task is (config, index),
+        # each worker receives the graph once; a task is a sample index,
         # handed out about four chunks per worker so uneven samples balance
         chunk = max(1, config.samples // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(graph, candidates)) as pool:
-            per_sample = list(pool.map(
-                _run_pooled_sample,
-                [(config, i) for i in range(config.samples)], chunksize=chunk))
+                                 initargs=((config, graph, candidates),)) as pool:
+            per_sample = list(pool.map(_run_pooled_sample,
+                                       range(config.samples), chunksize=chunk))
     else:
-        per_sample = [_run_sample((config, graph, i), candidates)
+        per_sample = [_run_sample(config, graph, candidates, i)
                       for i in range(config.samples)]
     rows = [row for sample in per_sample for row in sample]
     return rows + _mean_rows(rows, _echo(config))
@@ -246,25 +252,12 @@ def write_csv(rows, stream):
 
 
 def _cmd_solve(args) -> int:
-    try:
-        check_quality(args.d)
-        graph = parse_topology(args.topology, args.format,
-                               largest_component=args.largest_component)
-        demand = read_demand(args.demand, args.views)
-        tree = build_spt(graph, demand.demand.keys())
-        result = run_solver(args.solver, tree, demand, args.d, args.phi)
-    except (OracleGuardError, StateSpaceError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # any other failure is a fault, not a traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    check_quality(args.d)
+    graph = parse_topology(args.topology, args.format,
+                           largest_component=args.largest_component)
+    demand = read_demand(args.demand, args.views)
+    tree = build_spt(graph, demand.demand.keys())
+    result = run_solver(args.solver, tree, demand, args.d, args.phi)
     print(f"solver: {result.solver}"
           + (f" (phi={result.phi_mode})" if result.phi_mode else ""))
     print(f"total bandwidth: {result.total}")
@@ -281,37 +274,26 @@ def _cmd_run(args) -> int:
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
     for s in solvers:
         if s not in SOLVERS:
-            print(f"error: unknown solver {s!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown solver {s!r}")
     gen = None
     if args.gen:
         try:
             n, e = (int(x) for x in args.gen.split(","))
         except ValueError:
-            print(f"error: --gen expects N,E, got {args.gen!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"--gen expects N,E, got {args.gen!r}") from None
         gen = (n, e)
     config = ScenarioConfig(
         topology=args.topology, fmt=args.format, gen=gen, preset=args.preset,
         views=args.views, clients=args.clients, dist=args.dist, d=args.d,
         solvers=solvers, phi=args.phi, samples=args.samples, seed=args.seed,
         largest_component=args.largest_component)
-    try:
-        rows = run_scenario(config)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenProcessPool as exc:
-        print(f"error: worker pool failed: {exc}", file=sys.stderr)
-        return 3
+    rows = run_scenario(config)
     if args.out and args.out != "-":
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_csv(rows, fh)
     else:
         write_csv(rows, sys.stdout)
-    if any(r.get("fault") for r in rows):
-        return 3
-    return 0
+    return 3 if any(r.get("fault") for r in rows) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +340,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "phi", None) == "per-view":
         args.phi = "per_view"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # every failure ends in an exit code, not a traceback
+        code, prefix = next(o[1:] for o in OUTCOMES if isinstance(exc, o[0]))
+        print(prefix.format(type(exc).__name__) + str(exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

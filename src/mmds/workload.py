@@ -13,7 +13,7 @@ File formats:
 In every format ``#`` starts a comment.
 
 All-digit node tokens become integers so that edge lists, GML files and
-demand files agree on node identity.
+demand files agree on node identity; a topology's ids are all of one kind.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ def _node_id(token: str):
     tok = token.strip()
     neg = tok[1:] if tok.startswith("-") else tok
     return int(tok) if neg.isdigit() else tok
+
+
+def _one_id_kind(ids):
+    """Raise unless the (id, line) pairs are all integers or all names."""
+    ids = list(ids)
+    for nid, ln in ids:
+        if isinstance(nid, int) != isinstance(ids[0][0], int):
+            raise ValueError(f"line {ln}: node ids {ids[0][0]!r} and {nid!r} "
+                             "mix integers and names")
 
 
 def _two_columns(lines, expected):
@@ -89,7 +98,7 @@ def _parse_gml(text):
         top = _read_pairs(iter(tokens), end_line)
     except RecursionError:
         raise ValueError(f"line {end_line}: blocks nested too deeply") from None
-    nodes, labels, edges = set(), {}, []
+    declared, labels, edges = [], {}, []
     for key, graph, ln in top:
         if key != "graph":
             continue  # stray top-level attribute such as 'Creator "..."'
@@ -107,15 +116,16 @@ def _parse_gml(text):
                     raise ValueError(f"line {ln}: {kind} block without {need}")
             if kind == "node":
                 nid = _node_id(fields["id"])
-                nodes.add(nid)
+                declared.append((nid, ln))
                 if "label" in fields:
                     labels[nid] = fields["label"]
             else:
                 edges.append((_node_id(fields["source"]),
                               _node_id(fields["target"]), ln))
-    if not nodes:
+    if not declared:
         raise ValueError("line 1: no 'graph [ ... ]' block found")
-    return nodes, labels, edges
+    _one_id_kind(declared)
+    return {nid for nid, _ in declared}, labels, edges
 
 
 def parse_topology(source, fmt: str = "gml",
@@ -138,6 +148,7 @@ def parse_topology(source, fmt: str = "gml",
             a, b = _node_id(a), _node_id(b)
             nodes.update((a, b))
             raw_edges.append((a, b, ln))
+        _one_id_kind((n, ln) for a, b, ln in raw_edges for n in (a, b))
     else:
         raise ValueError(f"unknown topology format {fmt!r}")
 
@@ -240,9 +251,10 @@ class DemandDistribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.view_count < 1:
             raise ValueError("view_count must be >= 1")
-        if self.kind == "gaussian" and (self.variance is None or self.variance <= 0):
+        # None, NaN and infinity fail `0 < x < inf` as well
+        if self.kind == "gaussian" and not 0 < (self.variance or 0) < np.inf:
             raise ValueError("gaussian demand needs a positive variance")
-        if self.kind == "zipf" and (self.exponent is None or self.exponent <= 0):
+        if self.kind == "zipf" and not 0 < (self.exponent or 0) < np.inf:
             raise ValueError("zipf demand needs a positive exponent")
 
 

@@ -3,6 +3,8 @@ import io
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 from importlib.resources import files
 from pathlib import Path
 
@@ -189,7 +191,8 @@ class TestRunCommand:
         break_mmdea(monkeypatch, KeyError("view 7"))
         cfg = ScenarioConfig(gen=(30, 40), views=5, clients=6, d=2,
                              solvers=("omds", "mmdea"), samples=1, seed=1)
-        rows = cli._run_sample((cfg, generate_topology(30, 40, seed=1), 0))
+        graph = generate_topology(30, 40, seed=1)
+        rows = cli._run_sample(cfg, graph, cli._client_candidates(graph), 0)
         omds_row, mmdea_row = rows
         assert omds_row["status"] == "ok" and not omds_row.get("fault")
         assert mmdea_row["status"] == "error" and mmdea_row["fault"]
@@ -353,8 +356,8 @@ class TestSampleDraw:
                                      clients=clients, dist=dist,
                                      solvers=("omds",), seed=97 * k + 3)
                 index = 13 * k
-                [(sample_seed, demand)] = cli._run_sample((cfg, graph, index),
-                                                          candidates)
+                [(sample_seed, demand)] = cli._run_sample(cfg, graph,
+                                                          candidates, index)
                 terminals, want, want_seed = reference_draw(cfg, candidates,
                                                             index)
                 assert seen.pop() == terminals
@@ -411,10 +414,10 @@ class TestDeadPoolWorker:
     def test_worker_dying_mid_sample(self, monkeypatch, capfd):
         real = cli._run_sample
 
-        def run_sample(args, candidates=None):
-            if args[2] == 3:
+        def run_sample(config, graph, candidates, index):
+            if index == 3:
                 os._exit(1)
-            return real(args, candidates)
+            return real(config, graph, candidates, index)
         monkeypatch.setattr(cli, "_run_sample", run_sample)
         code, out, err = self.run_pooled(monkeypatch, capfd)
         assert code == 3 and out == ""
@@ -438,6 +441,74 @@ class TestDeadPoolWorker:
         assert err.startswith("error: worker pool failed: worker initializer "
                               "failed: RuntimeError('graph did not arrive')")
         assert "Traceback" not in err
+
+
+# The files the outcome cases read, written into the test's directory.
+OUTCOME_FILES = {
+    "truncated.gml": "graph [\n  node [ id 1 ]\n  node [ id",
+    "mixed.edges": "1 2\n2 a\n",
+    "one.demand": "1 1\n",
+    "star.edges": "".join(f"hub t{i}\n" for i in range(1, 41)),
+    "star.demand": "".join(f"t{i} {i}\n" for i in range(1, 41)),
+}
+# (arguments, exit code, stderr prefix, parse_topology raises KeyError);
+# {tmp} is the test's directory, an empty prefix means an empty stderr.
+OUTCOME_CASES = {
+    "solve-truncated-gml": (
+        "solve --topology {tmp}/truncated.gml --demand {tmp}/one.demand --d 2",
+        1, "error: line 3: ", False),
+    "run-truncated-gml": ("run --topology {tmp}/truncated.gml",
+                          1, "error: line 3: ", False),
+    "solve-mixed-ids": ("solve --topology {tmp}/mixed.edges --format edges "
+                        "--demand {tmp}/one.demand --d 2",
+                        1, "error: line 2: node ids 1 and 'a' mix ", False),
+    "run-mixed-ids": ("run --topology {tmp}/mixed.edges --format edges",
+                      1, "error: line 2: node ids 1 and 'a' mix ", False),
+    "run-out-in-missing-dir": ("run --preset demo --d 4 --out {tmp}/nope/x.csv",
+                               1, "error: [Errno 2] ", False),
+    "solve-guard-refusal": (
+        "solve --topology {tmp}/star.edges --format edges "
+        "--demand {tmp}/star.demand --d 2 --solver oracle",
+        2, "refused: ", False),
+    "run-guard-refusal": (
+        "run --gen 40,50 --views 30 --clients 35 --d 2 --samples 1 --seed 3 "
+        "--solver oracle --out {tmp}/rows.csv", 0, "", False),
+    "solve-unexpected-exception": (
+        "solve --topology {tmp}/star.edges --demand {tmp}/one.demand --d 2",
+        3, "internal error: KeyError: 'boom'", True),
+    "run-unexpected-exception": ("run --topology {tmp}/star.edges",
+                                 3, "internal error: KeyError: 'boom'", True),
+}
+
+
+@pytest.mark.parametrize("case", OUTCOME_CASES)
+def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, case):
+    argv, want_code, prefix, broken = OUTCOME_CASES[case]
+    for name, text in OUTCOME_FILES.items():
+        (tmp_path / name).write_text(text)
+    if broken:
+        def parse_topology(*args, **kwargs):
+            raise KeyError("boom")
+        monkeypatch.setattr(cli, "parse_topology", parse_topology)
+    code, out, err = run_cli(capsys,
+                             *(a.format(tmp=tmp_path) for a in argv.split()))
+    assert code == want_code and out == ""
+    assert "Traceback" not in err
+    if prefix:
+        assert err.startswith(prefix) and err.count("\n") == 1
+    else:
+        assert err == ""
+        with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["status"] == "error" and row["error"].startswith("segment span")
+
+
+def test_importing_the_cli_loads_numpy_random():
+    # a pool worker forks after the import, so it need not import it again
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", "import sys, mmds.cli; "
+                    "sys.exit('numpy.random' not in sys.modules)"],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
 
 
 class TestParser:

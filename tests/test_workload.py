@@ -123,6 +123,13 @@ class TestParseGml:
         assert g.server == 3
         assert g.is_connected()
 
+    def test_mixed_id_kinds_name_the_first_odd_id(self):
+        text = ('graph [\n  node [ id 1 ]\n  node [ id 2 ]\n  node [ id a ]\n'
+                '  node [ id 3 ]\n  edge [ source 1 target 2 ]\n]')
+        with pytest.raises(ValueError, match="^line 4: node ids 1 and 'a' mix "
+                                             "integers and names$"):
+            parse_topology(io.StringIO(text), "gml")
+
     def test_self_loop_dropped_with_warning(self):
         text = ("graph [ node [ id 1 ] node [ id 2 ] "
                 "edge [ source 1 target 1 ] edge [ source 1 target 2 ] ]")
@@ -170,6 +177,13 @@ class TestParseEdges:
         assert g.edges == {frozenset((1, 2))}
         with pytest.raises(ValueError, match="^line 2: expected 'a b'"):
             parse_topology(io.StringIO("# only a comment\n1 # 2\n"), "edges")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 a\n", "line 1: node ids 1 and 'a'"),
+        ("a b\nb c\n# 7\n\nc 7\n", "line 5: node ids 'a' and 7")])
+    def test_mixed_id_kinds_name_the_first_odd_id(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message} mix integers and names$"):
+            parse_topology(io.StringIO(text), "edges")
 
     def test_roundtrip(self, tmp_path):
         g = generate_topology(25, 31, seed=9)
@@ -256,6 +270,15 @@ class TestDistributions:
             DemandDistribution("gaussian", 12)
         with pytest.raises(ValueError):
             DemandDistribution("zipf", 12, exponent=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters(self, value):
+        with pytest.raises(ValueError, match="^gaussian demand needs a "
+                                             "positive variance$"):
+            DemandDistribution("gaussian", 12, variance=value)
+        with pytest.raises(ValueError, match="^zipf demand needs a "
+                                             "positive exponent$"):
+            DemandDistribution("zipf", 12, exponent=value)
 
 
 class TestDemandFiles:
