@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,8 +186,11 @@ def _solver_row(base, solver, tree, demand, D, phi):
 
 def run_scenario(config: ScenarioConfig) -> list[dict]:
     """Run all samples of a scenario; one row per (sample, solver) plus a
-    mean row per solver, in sample order.  A bad D raises before any runs."""
+    mean row per solver, in sample order.  A bad D or a negative sample
+    count raises before anything is parsed or run."""
     check_quality(config.d)
+    if config.samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {config.samples}")
     if config.preset == "demo":
         tree, demand = demo_instance()
         base = _echo(config)
@@ -287,12 +291,12 @@ def _cmd_run(args) -> int:
         views=args.views, clients=args.clients, dist=args.dist, d=args.d,
         solvers=solvers, phi=args.phi, samples=args.samples, seed=args.seed,
         largest_component=args.largest_component)
-    rows = run_scenario(config)
-    if args.out and args.out != "-":
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    # opened before the first sample, as a shell redirection would be, so a
+    # bad path fails at once rather than after the whole batch
+    with (open(args.out, "w", newline="", encoding="utf-8")
+          if args.out and args.out != "-" else nullcontext(sys.stdout)) as out:
+        rows = run_scenario(config)
+        write_csv(rows, out)
     return 3 if any(r.get("fault") for r in rows) else 0
 
 

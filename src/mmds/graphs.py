@@ -41,24 +41,22 @@ class NetworkGraph:
 
     def __init__(self, nodes, edges, server, labels=None):
         self.nodes = frozenset(nodes)
+        self._adj = adj = {n: set() for n in self.nodes}
         es = set()
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
-            if a not in self.nodes or b not in self.nodes:
+            if a not in adj or b not in adj:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
             es.add(frozenset((a, b)))
+            adj[a].add(b)
+            adj[b].add(a)
         self.edges = frozenset(es)
         if server not in self.nodes:
             raise ValueError(f"server {server!r} is not a node")
         self.server = server
         self.labels = dict(labels or {})
-        self._adj = {n: set() for n in self.nodes}
-        for e in self.edges:
-            a, b = tuple(e)
-            self._adj[a].add(b)
-            self._adj[b].add(a)
-        self.dist = bfs_distances(self._adj, server)
+        self.dist = bfs_distances(adj, server)
 
     def neighbors(self, n):
         return self._adj[n]

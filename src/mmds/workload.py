@@ -12,15 +12,20 @@ File formats:
 
 In every format ``#`` starts a comment.
 
-All-digit node tokens become integers so that edge lists, GML files and
-demand files agree on node identity; a topology's ids are all of one kind.
+Node tokens of ASCII digits, with an optional leading ``-``, become
+integers so that edge lists, GML files and demand files agree on node
+identity; any other token, ``²`` or ``٣`` included, is a name.  A
+topology's ids are all of one kind.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,16 +35,18 @@ from .graphs import DemandMap, NetworkGraph, bfs_distances
 def _node_id(token: str):
     tok = token.strip()
     neg = tok[1:] if tok.startswith("-") else tok
-    return int(tok) if neg.isdigit() else tok
+    # str.isdigit() also takes '²' and '٣', which int() refuses or reads as 3
+    return int(tok) if neg.isascii() and neg.isdigit() else tok
 
 
-def _one_id_kind(ids):
-    """Raise unless the (id, line) pairs are all integers or all names."""
+def _one_id_kind(ids, line):
+    """Raise unless the (id, position) pairs are all integers or all names;
+    `line` maps a position to the line the error names."""
     ids = list(ids)
-    for nid, ln in ids:
+    for nid, pos in ids:
         if isinstance(nid, int) != isinstance(ids[0][0], int):
-            raise ValueError(f"line {ln}: node ids {ids[0][0]!r} and {nid!r} "
-                             "mix integers and names")
+            raise ValueError(f"line {line(pos)}: node ids {ids[0][0]!r} and "
+                             f"{nid!r} mix integers and names")
 
 
 def _two_columns(lines, expected):
@@ -53,78 +60,95 @@ def _two_columns(lines, expected):
             raise ValueError(f"line {ln}: expected {expected}, got {line.strip()!r}")
 
 
-_GML_TOKEN = re.compile(r'"[^"]*"|[][]|#.*|[^\s"#[\]][^\s[\]]*|"')
+# Group 1 is one token; `\s*` takes the blanks before it into the same
+# match, so findall() must run on rstrip()ped text, or it backtracks
+# quadratically over trailing blanks.  A string or a comment stops at any
+# str.splitlines() break, so no token spans two lines.
+_EOL = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_GML_TOKEN = re.compile(
+    rf'\s*([^\s"#[\]][^\s[\]]*|[][]|"[^"{_EOL}]*"|#[^{_EOL}]*|")')
+
+
+def _token_lines(text):
+    """A function from the index of a token of `_tokenize_gml(text)` to its
+    line.  Only an error or a warning asks, so the text is scanned again on
+    the first call, and only then."""
+    @cache
+    def lines():
+        ends = list(accumulate(map(len, text.splitlines(True))))
+        return [bisect_right(ends, m.start(1)) + 1
+                for m in _GML_TOKEN.finditer(text.rstrip()) if m[1][0] != "#"]
+    return lambda index: lines()[index]
 
 
 def _tokenize_gml(text):
-    """Yield (token, line_number).  A quoted string keeps its quotes, so
-    ``"["`` can never be taken for a bracket; comments are dropped."""
-    for ln, line in enumerate(text.splitlines(), start=1):
-        for tok in _GML_TOKEN.findall(line):
-            if tok == '"':
-                raise ValueError(f"line {ln}: unterminated string")
-            if tok[0] != "#":
-                yield tok, ln
+    """The tokens of the whole text, from one regex pass.  A quoted string
+    keeps its quotes, so ``"["`` is never a bracket; comments are dropped."""
+    tokens = _GML_TOKEN.findall(text.rstrip())
+    tokens = [t for t in tokens if t[0] != "#"] if "#" in text else tokens
+    if '"' in tokens:
+        i = tokens.index('"')
+        raise ValueError(f"line {_token_lines(text)(i)}: unterminated string")
+    return tokens
 
 
-def _read_pairs(tokens, end_line, closed=False):
-    """Read ``key value`` pairs up to the ``]`` that closes this block, or
-    up to the end of the text when not `closed`, as (key, value, line)
-    triples.  A key is a bare word; a value is a bare word, a quoted
-    string (returned unquoted) or a nested list of triples."""
+def _read_pairs(tokens, line, closed=False):
+    """Read ``key value`` pairs from (index, token) pairs up to the ``]``
+    that closes this block, or to the end when not `closed`, as (key, value,
+    index) triples; `line` maps an index to its line.  A key is a bare word;
+    a value is a bare word, a quoted string (unquoted) or a list of triples."""
     pairs = []
-    for key, ln in tokens:
+    for i, key in tokens:
         if key == "]" and closed:
             return pairs
         if key[0] in '[]"':
-            raise ValueError(f"line {ln}: expected a key, got {key}")
-        value, _ = next(tokens, ("]", ln))
+            raise ValueError(f"line {line(i)}: expected a key, got {key}")
+        _, value = next(tokens, (i, "]"))
         if value == "]":
-            raise ValueError(f"line {ln}: {key} has no value")
+            raise ValueError(f"line {line(i)}: {key} has no value")
         if value == "[":
-            value = _read_pairs(tokens, end_line, closed=True)
+            value = _read_pairs(tokens, line, closed=True)
         elif value[0] == '"':
             value = value[1:-1]
-        pairs.append((key, value, ln))
+        pairs.append((key, value, i))
     if closed:
-        raise ValueError(f"line {end_line}: unterminated block")
+        raise ValueError(f"line {line(-1)}: unterminated block")
     return pairs
 
 
 def _parse_gml(text):
-    tokens = list(_tokenize_gml(text))
-    end_line = tokens[-1][1] if tokens else 1
+    line = _token_lines(text)
     try:
-        top = _read_pairs(iter(tokens), end_line)
+        top = _read_pairs(enumerate(_tokenize_gml(text)), line)
     except RecursionError:
-        raise ValueError(f"line {end_line}: blocks nested too deeply") from None
+        raise ValueError(f"line {line(-1)}: blocks nested too deeply") from None
+    node_id = cache(_node_id)  # an id recurs at each end of its edges
     declared, labels, edges = [], {}, []
-    for key, graph, ln in top:
+    for key, graph, i in top:
         if key != "graph":
             continue  # stray top-level attribute such as 'Creator "..."'
         if isinstance(graph, str):
-            raise ValueError(f"line {ln}: expected '[' after 'graph'")
-        for kind, block, ln in graph:
+            raise ValueError(f"line {line(i)}: expected '[' after 'graph'")
+        for kind, block, i in graph:
             if kind not in ("node", "edge"):
                 continue
             if isinstance(block, str):
-                raise ValueError(f"line {ln}: expected '[' to open {kind} block")
+                raise ValueError(f"line {line(i)}: expected '[' to open {kind} block")
             # the first scalar value of a key wins; nested blocks are ignored
             fields = {k: v for k, v, _ in reversed(block) if isinstance(v, str)}
             for need in ("id",) if kind == "node" else ("source", "target"):
                 if need not in fields:
-                    raise ValueError(f"line {ln}: {kind} block without {need}")
+                    raise ValueError(f"line {line(i)}: {kind} block without {need}")
             if kind == "node":
-                nid = _node_id(fields["id"])
-                declared.append((nid, ln))
+                nid = node_id(fields["id"])
+                declared.append((nid, i))
                 if "label" in fields:
                     labels[nid] = fields["label"]
             else:
-                edges.append((_node_id(fields["source"]),
-                              _node_id(fields["target"]), ln))
+                edges.append((node_id(fields["source"]), node_id(fields["target"]), i))
     if not declared:
         raise ValueError("line 1: no 'graph [ ... ]' block found")
-    _one_id_kind(declared)
+    _one_id_kind(declared, line)
     return {nid for nid, _ in declared}, labels, edges
 
 
@@ -142,23 +166,25 @@ def parse_topology(source, fmt: str = "gml",
             text = fh.read()
     if fmt == "gml":
         nodes, labels, raw_edges = _parse_gml(text)
+        line = _token_lines(text)  # an edge holds its `edge` token's index
     elif fmt == "edges":
         nodes, labels, raw_edges = set(), {}, []
         for ln, a, b in _two_columns(text.splitlines(), "'a b'"):
             a, b = _node_id(a), _node_id(b)
             nodes.update((a, b))
             raw_edges.append((a, b, ln))
-        _one_id_kind((n, ln) for a, b, ln in raw_edges for n in (a, b))
+        line = int  # an edge list's positions are its line numbers
+        _one_id_kind(((n, ln) for a, b, ln in raw_edges for n in (a, b)), line)
     else:
         raise ValueError(f"unknown topology format {fmt!r}")
 
     edges = []
-    for a, b, ln in raw_edges:
+    for a, b, pos in raw_edges:
         if a == b:
-            warnings.warn(f"line {ln}: dropping self-loop on node {a!r}")
+            warnings.warn(f"line {line(pos)}: dropping self-loop on node {a!r}")
             continue
         if a not in nodes or b not in nodes:
-            raise ValueError(f"line {ln}: edge references undeclared node")
+            raise ValueError(f"line {line(pos)}: edge references undeclared node")
         edges.append((a, b))
     graph = NetworkGraph(nodes, edges, min(nodes), labels)
     if not graph.is_connected():

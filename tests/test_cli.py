@@ -3,8 +3,10 @@ import io
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from importlib.resources import files
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from mmds import cli
 from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
+from mmds.emmdea import solve_extended
 from mmds.instances import DEMO_DEMAND, demo_graph
 from mmds.mmdea import SolverError
 from mmds.workload import (generate_topology, parse_topology, write_edges,
@@ -466,6 +469,13 @@ OUTCOME_CASES = {
                       1, "error: line 2: node ids 1 and 'a' mix ", False),
     "run-out-in-missing-dir": ("run --preset demo --d 4 --out {tmp}/nope/x.csv",
                                1, "error: [Errno 2] ", False),
+    # the truncated topology would name line 3 if it were parsed first
+    "run-negative-samples": ("run --topology {tmp}/truncated.gml --samples -1",
+                             1, "error: sample count must be >= 0, got -1",
+                             False),
+    "run-preset-negative-samples": ("run --preset demo --d 4 --samples -3",
+                                    1, "error: sample count must be >= 0, "
+                                    "got -3", False),
     "solve-guard-refusal": (
         "solve --topology {tmp}/star.edges --format edges "
         "--demand {tmp}/star.demand --d 2 --solver oracle",
@@ -501,6 +511,38 @@ def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, case):
         with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
             row = next(csv.DictReader(fh))
         assert row["status"] == "error" and row["error"].startswith("segment span")
+
+
+def test_out_is_opened_before_any_sample(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", calls.append)
+    code, out, err = run_cli(capsys, "run", "--topology", KDL_PATH,
+                             "--out", str(tmp_path / "nope" / "x.csv"))
+    assert calls == []
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
+
+def test_emmdea_refusal_in_a_run_is_an_error_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_extended", partial(solve_extended,
+                                                       state_cap=1))
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "run", "--topology", KDL_PATH,
+                             "--views", "24", "--d", "4", "--clients", "40",
+                             "--dist", "zipf:1", "--samples", "1",
+                             "--solver", "omds,mmdea,emmdea,hmmdea",
+                             "--out", str(path))
+    assert code == 0 and out == "" and err == ""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = {r["solver"]: r for r in csv.DictReader(fh) if r["sample"] == "0"}
+    # a refusal's row holds the bare StateSpaceError text, a fault's row
+    # the class name first
+    assert rows["emmdea"]["status"] == "error"
+    assert re.fullmatch(r"\d+ states at column \d+ \(\d+ since column \d+\) "
+                        r"exceed the cap 1 \(10 per segment\); use a smaller "
+                        r"D or raise state_cap", rows["emmdea"]["error"])
+    for solver in ("omds", "mmdea", "hmmdea"):
+        assert rows[solver]["status"] == "ok", solver
 
 
 def test_importing_the_cli_loads_numpy_random():

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import time
 import warnings
 from importlib.resources import files
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mmds import (DemandDistribution, DemandMap, generate_topology,
                   parse_topology, read_demand, sample_demand, write_demand,
                   write_edges, write_gml, zipf_pmf, zipf_rank_to_view)
-from mmds.workload import _parse_gml
+from mmds.workload import _node_id, _one_id_kind, _parse_gml, _token_lines
 
 KDL = files("mmds.data") / "kdl_754_895.gml"
 
@@ -155,6 +156,237 @@ def test_gml_text_parses_or_names_a_line(words):
         line = re.match(r"line (\d+): ", str(exc))
         assert line, str(exc)
         assert 1 <= int(line.group(1)) <= max(1, len(text.splitlines()))
+
+
+# The per-line tokenizer and reader that the whole-text ones replaced, kept
+# as a reference: for any text both must give the same nodes, labels and
+# edges (with line numbers), or the same error naming the same line.
+_REF_TOKEN = re.compile(r'"[^"]*"|[][]|#.*|[^\s"#[\]][^\s[\]]*|"')
+
+
+def ref_tokenize_gml(text):
+    for ln, line in enumerate(text.splitlines(), start=1):
+        for tok in _REF_TOKEN.findall(line):
+            if tok == '"':
+                raise ValueError(f"line {ln}: unterminated string")
+            if tok[0] != "#":
+                yield tok, ln
+
+
+def ref_read_pairs(tokens, end_line, closed=False):
+    pairs = []
+    for key, ln in tokens:
+        if key == "]" and closed:
+            return pairs
+        if key[0] in '[]"':
+            raise ValueError(f"line {ln}: expected a key, got {key}")
+        value, _ = next(tokens, ("]", ln))
+        if value == "]":
+            raise ValueError(f"line {ln}: {key} has no value")
+        if value == "[":
+            value = ref_read_pairs(tokens, end_line, closed=True)
+        elif value[0] == '"':
+            value = value[1:-1]
+        pairs.append((key, value, ln))
+    if closed:
+        raise ValueError(f"line {end_line}: unterminated block")
+    return pairs
+
+
+def ref_parse_gml(text):
+    tokens = list(ref_tokenize_gml(text))
+    end_line = tokens[-1][1] if tokens else 1
+    try:
+        top = ref_read_pairs(iter(tokens), end_line)
+    except RecursionError:
+        raise ValueError(f"line {end_line}: blocks nested too deeply") from None
+    declared, labels, edges = [], {}, []
+    for key, graph, ln in top:
+        if key != "graph":
+            continue
+        if isinstance(graph, str):
+            raise ValueError(f"line {ln}: expected '[' after 'graph'")
+        for kind, block, ln in graph:
+            if kind not in ("node", "edge"):
+                continue
+            if isinstance(block, str):
+                raise ValueError(f"line {ln}: expected '[' to open {kind} block")
+            fields = {k: v for k, v, _ in reversed(block) if isinstance(v, str)}
+            for need in ("id",) if kind == "node" else ("source", "target"):
+                if need not in fields:
+                    raise ValueError(f"line {ln}: {kind} block without {need}")
+            if kind == "node":
+                nid = _node_id(fields["id"])
+                declared.append((nid, ln))
+                if "label" in fields:
+                    labels[nid] = fields["label"]
+            else:
+                edges.append((_node_id(fields["source"]),
+                              _node_id(fields["target"]), ln))
+    if not declared:
+        raise ValueError("line 1: no 'graph [ ... ]' block found")
+    _one_id_kind(declared, int)
+    return {nid for nid, _ in declared}, labels, edges
+
+
+def gml_outcome(parse, text):
+    """`parse(text)`, or the message of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def new_gml(text):
+    """`_parse_gml(text)` with each edge's token index turned into a line."""
+    nodes, labels, edges = _parse_gml(text)
+    return nodes, labels, [(a, b, _token_lines(text)(i)) for a, b, i in edges]
+
+
+def topology_messages(text):
+    """The self-loop warnings and the error of `parse_topology(text)`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse_topology(io.StringIO(text), "gml", largest_component=True)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+    loops = [str(w.message) for w in caught if "self-loop" in str(w.message)]
+    return loops, error
+
+
+def ref_topology_messages(text):
+    """What `topology_messages` should be, from the reference parse."""
+    try:
+        nodes, _, edges = ref_parse_gml(text)
+    except ValueError as exc:
+        return [], str(exc)
+    loops = []
+    for a, b, ln in edges:
+        if a == b:
+            loops.append(f"line {ln}: dropping self-loop on node {a!r}")
+        elif a not in nodes or b not in nodes:
+            return loops, f"line {ln}: edge references undeclared node"
+    return loops, None
+
+
+GML_PIECES = ["graph [", "]", "[", "node [ id 1 ]", 'node [ id 2 label "a b" ]',
+              "node [ id x ]", "node [ id ² ]", "node [ id 3 ]", "node [ id ٣ ]",
+              "node [", "edge [ source 1 target 2 ]", "edge [ source 2 target 2 ]",
+              "edge [ source 1 target 9 ]", "edge [ source 1", "target 3 ]",
+              "graphics [ x 1 y [ z 2 ] ]", "id", "source", "label", "17",
+              '"x"', '"["', '"]"', '"open', '"', "# note", '# "q" [ ]',
+              'Creator "me"', "junk", ""]
+GML_BREAKS = [" ", "\t", "\n", "\n\n", "\r\n", "\r", "\x0c", "\x85", " ",
+              "  \n  "]
+gml_texts = st.lists(st.tuples(st.sampled_from(GML_PIECES),
+                               st.sampled_from(GML_BREAKS)), max_size=30).map(
+    lambda parts: "".join(piece + brk for piece, brk in parts))
+
+
+@st.composite
+def gml_graphs(draw):
+    """A graph block of node and edge blocks with labels, nested attribute
+    blocks and comments, often with one piece inserted anywhere."""
+    ids = draw(st.sampled_from([["1", "2", "3", "-4"], ["a", "b", "²", "٣"]]))
+    tokens = ["graph", "["]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            block = ["node", "[", "id", draw(st.sampled_from(ids))]
+            if draw(st.booleans()):
+                block += ["label", draw(st.sampled_from(
+                    ['"["', '"]"', '"a b"', '"#"', '"x"']))]
+        else:
+            block = ["edge", "[", "source", draw(st.sampled_from(ids + ["9"])),
+                     "target", draw(st.sampled_from(ids))]
+        if draw(st.booleans()):
+            block += ["graphics", "[", "x", "1", "y", "[", "z", "2", "]", "]"]
+        if draw(st.booleans()):
+            block.append("# a ] comment [")
+        tokens += block + ["]"]
+    tokens.append("]")
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      draw(st.sampled_from(GML_PIECES)))
+    breaks = st.sampled_from(GML_BREAKS)
+    return "".join(tok + ("\n" if tok.startswith("#") else draw(breaks))
+                   for tok in tokens)
+
+
+@given(st.one_of(gml_texts, gml_graphs()))
+@settings(max_examples=400, deadline=None)
+def test_whole_text_parse_matches_the_per_line_reference(text):
+    assert gml_outcome(new_gml, text) == gml_outcome(ref_parse_gml, text)
+    assert topology_messages(text) == ref_topology_messages(text)
+
+
+@pytest.mark.parametrize("line, replacement, message", [
+    (5001, '    source "498', "line 5001: unterminated string"),
+    (5001, '    "source" 498', 'line 5001: expected a key, got "source"'),
+    (5002, "    target", "line 5002: target has no value"),
+    (5002, "    target 9999", "line 5000: edge references undeclared node"),
+    (5002, "    target ²", "line 5000: edge references undeclared node"),
+    (5001, "    weight 1", "line 5000: edge block without source"),
+    (5003, "", "line 5844: unterminated block")])
+def test_defect_deep_in_the_bundled_file_names_its_line(line, replacement,
+                                                        message):
+    lines = KDL.read_text(encoding="utf-8").splitlines()
+    assert lines[4999:5003] == ["  edge [", "    source 498", "    target 503",
+                                "  ]"]
+    lines[line - 1] = replacement
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_topology(io.StringIO(text), "gml")
+    assert gml_outcome(new_gml, text) == gml_outcome(ref_parse_gml, text)
+
+
+def test_self_loop_deep_in_the_bundled_file_names_its_line():
+    lines = KDL.read_text(encoding="utf-8").splitlines()
+    lines[5001] = "    target 498"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_topology(io.StringIO("\n".join(lines)), "gml",
+                       largest_component=True)
+    assert "line 5000: dropping self-loop on node 498" in [
+        str(w.message) for w in caught]
+
+
+def test_trailing_blanks_parse_in_linear_time():
+    # `\s*` before each token would backtrack over them quadratically:
+    # about half a minute here, against milliseconds
+    start = time.perf_counter()
+    text = "graph [ node [ id 1 ] ]" + " \n" * 20_000
+    assert _parse_gml(text) == ({1}, {}, [])
+    with pytest.raises(ValueError, match="^line 1: unterminated block$"):
+        _parse_gml("graph [ node [ id 1 ]" + " \n" * 20_000)
+    assert time.perf_counter() - start < 5
+
+
+class TestAsciiDigitIds:
+    """Only ASCII digits make an integer id: '²' passes str.isdigit() but
+    not int(), and int('٣') is 3."""
+
+    def test_gml(self):
+        text = ("graph [\n  node [ id a ]\n  node [ id ² ]\n  node [ id ٣ ]\n"
+                "  edge [ source a target ² ]\n  edge [ source ² target ٣ ]\n]")
+        assert parse_topology(io.StringIO(text), "gml").nodes == {"a", "²", "٣"}
+        mixed = "graph [\n  node [ id 3 ]\n  node [ id ² ]\n]"
+        with pytest.raises(ValueError, match="^line 3: node ids 3 and '²' mix "
+                                             "integers and names$"):
+            parse_topology(io.StringIO(mixed), "gml")
+
+    def test_edge_list(self):
+        g = parse_topology(io.StringIO("a ²\n² ٣\n"), "edges")
+        assert g.nodes == {"a", "²", "٣"}
+        with pytest.raises(ValueError, match="^line 2: node ids 3 and '٣' mix "
+                                             "integers and names$"):
+            parse_topology(io.StringIO("3 4\n4 ٣\n"), "edges")
+
+    def test_demand_file(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("² 1\n٣ 2\n3 4\n", encoding="utf-8")
+        assert read_demand(path).demand == {"²": 1, "٣": 2, 3: 4}
 
 
 class TestParseEdges:
