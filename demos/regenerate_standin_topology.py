@@ -8,7 +8,6 @@ the tree) until exactly 895 links.  Runs once; the GML output is
 committed under src/mmds/data/.
 """
 import sys
-from collections import deque
 sys.path.insert(0, "src")
 import numpy as np
 from mmds.graphs import NetworkGraph
@@ -46,17 +45,9 @@ while len(edges) < E:
 g = NetworkGraph(range(N), edges, 0)
 assert g.is_connected() and g.node_count == N and g.edge_count == E
 deg = [len(g.neighbors(n)) for n in g.nodes]
-dist = {0: 0}
-q = deque([0])
-while q:
-    x = q.popleft()
-    for m in g.neighbors(x):
-        if m not in dist:
-            dist[m] = dist[x] + 1
-            q.append(m)
 print("nodes", g.node_count, "edges", g.edge_count,
       "mean degree", round(sum(deg) / len(deg), 3),
-      "max degree", max(deg), "server ecc", max(dist.values()))
+      "max degree", max(deg), "server ecc", max(g.dist.values()))
 write_gml(g, "src/mmds/data/kdl_754_895.gml")
 assert parse_topology("src/mmds/data/kdl_754_895.gml", "gml") == g
 print("roundtrip ok; written")

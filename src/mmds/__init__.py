@@ -2,17 +2,17 @@
 multi-view video, where a client's desired view may be synthesized from
 two transmitted neighbour views at most D indices apart."""
 
-from .cost import (INFEASIBLE, direct_cost, edge_view_loads, evaluate_cost,
-                   expansion_cost, subscriber_tree, view_masks, view_trees)
+from .cost import (INFEASIBLE, SolveResult, SolverError, direct_cost,
+                   edge_view_loads, evaluate_cost, expansion_cost,
+                   subscriber_tree, two_view_fraction, view_masks, view_trees)
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      build_spt, check_quality, identity_selection,
                      segment_views, transmitted_views, validate_selection)
 from .hmmdea import HeuristicResult, h_solve
 from .instances import demo_graph, demo_instance
-from .mmdea import (CostTable, SolveResult, SolverError, backtrack,
-                    solve_d2, solve_d3, solve_general, solve_segment,
-                    two_view_fraction)
+from .mmdea import (CostTable, backtrack, solve_d2, solve_d3, solve_general,
+                    solve_segment)
 from .oracle import (OracleGuardError, brute_force_emmds, brute_force_mmds,
                      omds)
 from .workload import (DemandDistribution, generate_topology, parse_topology,

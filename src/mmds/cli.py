@@ -22,16 +22,27 @@ import numpy as np
 # loaded here, before a pool forks, so no worker pays the import
 from numpy.random import SeedSequence, default_rng
 
+from .cost import SolverError, two_view_fraction
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import build_spt, check_quality
 from .hmmdea import h_solve
 from .instances import DEMO_VIEW_COUNT, demo_instance
-from .mmdea import SolverError, solve_general, two_view_fraction
+from .mmdea import solve_general
 from .oracle import OracleGuardError, brute_force_emmds, brute_force_mmds, omds
-from .workload import (DemandDistribution, generate_topology, parse_topology,
-                       read_demand, sample_demand)
+from .workload import (DemandDistribution, generate_topology, is_integer,
+                       parse_topology, read_demand, sample_demand)
 
-SOLVERS = ("omds", "mmdea", "emmdea", "hmmdea", "oracle", "oracle-ext")
+# name -> call(tree, demand, D, phi); `run_solver`, the `solve --solver`
+# choices and the `run --solver` check read it.  Each call looks its solver
+# up when it runs, so a replaced module attribute takes effect.
+SOLVERS = {
+    "omds": lambda tree, demand, D, phi: omds(tree, demand),
+    "mmdea": lambda tree, demand, D, phi: solve_general(tree, demand, D, phi),
+    "emmdea": lambda tree, demand, D, phi: solve_extended(tree, demand, D, phi),
+    "hmmdea": lambda tree, demand, D, phi: h_solve(tree, demand, D),
+    "oracle": lambda tree, demand, D, phi: brute_force_mmds(tree, demand, D),
+    "oracle-ext": lambda tree, demand, D, phi: brute_force_emmds(tree, demand, D),
+}
 
 CSV_COLUMNS = ("topology", "views", "clients", "dist", "d", "phi", "samples",
                "seed", "sample", "sample_seed", "solver", "status",
@@ -75,9 +86,18 @@ class ScenarioConfig:
         return str(self.topology)
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: the text `is_integer` takes."""
+    if not is_integer(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def parse_dist(spec: str, view_count: int) -> DemandDistribution:
     name, _, arg = spec.partition(":")
     if name == "uniform":
+        if arg:
+            raise ValueError(f"uniform demand takes no parameter, got {spec!r}")
         return DemandDistribution("uniform", view_count)
     if name == "gaussian":
         return DemandDistribution("gaussian", view_count, variance=float(arg or 4))
@@ -87,19 +107,8 @@ def parse_dist(spec: str, view_count: int) -> DemandDistribution:
 
 
 def run_solver(name: str, tree, demand, D: int, phi: str):
-    if name == "omds":
-        return omds(tree, demand)
-    if name == "mmdea":
-        return solve_general(tree, demand, D, mode=phi)
-    if name == "emmdea":
-        return solve_extended(tree, demand, D, mode=phi)
-    if name == "hmmdea":
-        return h_solve(tree, demand, D)
-    if name == "oracle":
-        return brute_force_mmds(tree, demand, D)
-    if name == "oracle-ext":
-        return brute_force_emmds(tree, demand, D)
-    raise ValueError(f"unknown solver {name!r}")
+    """Solve with `SOLVERS[name]`; `name` is one of its keys."""
+    return SOLVERS[name](tree, demand, D, phi)
 
 
 def sample_seed_of(master: int, index: int) -> int:
@@ -282,8 +291,8 @@ def _cmd_run(args) -> int:
     gen = None
     if args.gen:
         try:
-            n, e = (int(x) for x in args.gen.split(","))
-        except ValueError:
+            n, e = (_integer(x) for x in args.gen.split(","))
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"--gen expects N,E, got {args.gen!r}") from None
         gen = (n, e)
     config = ScenarioConfig(
@@ -310,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--topology", required=True, help="topology file")
     ps.add_argument("--format", choices=("gml", "edges"), default="gml")
     ps.add_argument("--demand", required=True, help="terminal/view pairs file")
-    ps.add_argument("--d", type=int, required=True, help="quality constraint")
+    ps.add_argument("--d", type=_integer, required=True, help="quality constraint")
     ps.add_argument("--solver", choices=SOLVERS, default="mmdea")
     ps.add_argument("--phi", choices=("literal", "exact", "per-view"),
                     default="exact")
-    ps.add_argument("--views", type=int, help="universe size (default: max view)")
+    ps.add_argument("--views", type=_integer, help="universe size (default: max view)")
     ps.add_argument("--largest-component", action="store_true")
     ps.set_defaults(func=_cmd_solve)
 
@@ -323,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--topology")
     pr.add_argument("--format", choices=("gml", "edges"), default="gml")
     pr.add_argument("--gen", metavar="N,E", help="generate a random topology")
-    pr.add_argument("--views", type=int, default=12)
-    pr.add_argument("--clients", type=int, default=100)
+    pr.add_argument("--views", type=_integer, default=12)
+    pr.add_argument("--clients", type=_integer, default=100)
     pr.add_argument("--dist", default="uniform",
                     help="uniform | gaussian:VAR | zipf:S")
-    pr.add_argument("--d", type=int, default=5)
+    pr.add_argument("--d", type=_integer, default=5)
     pr.add_argument("--solver", default="omds,mmdea",
                     help="comma-separated list of solvers")
     pr.add_argument("--phi", choices=("literal", "exact", "per-view"),
                     default="exact")
-    pr.add_argument("--samples", type=int, default=100)
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--samples", type=_integer, default=100)
+    pr.add_argument("--seed", type=_integer, default=0)
     pr.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     pr.add_argument("--largest-component", action="store_true")
     pr.set_defaults(func=_cmd_run)

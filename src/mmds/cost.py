@@ -10,13 +10,41 @@ its masks may leave bits unused.
 
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.
+
+Every solver and oracle runs its per-segment search under
+`solve_by_segment`, which builds the view masks once and certifies the
+joined selection against `evaluate_cost`; a solver module holds only its
+own search.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from functools import reduce
 from math import inf as INFEASIBLE  # noqa: N811  (absorbing sentinel)
+from operator import or_
 
-from .graphs import DemandMap, ShortestPathTree, validate_selection
+from .graphs import (DemandMap, ShortestPathTree, segment_views,
+                     transmitted_views, validate_selection)
+
+PHI_MODES = ("literal", "exact", "per_view")
+
+
+class SolverError(RuntimeError):
+    """Internal inconsistency: a solver produced a selection it cannot
+    defend (validation failure or cost mismatch)."""
+
+
+@dataclass
+class SolveResult:
+    total: int
+    theta: dict
+    transmitted: tuple
+    per_segment: list
+    evaluated: int
+    solver: str
+    phi_mode: str | None = None
+    stats: dict = field(default_factory=dict)  # work counters; no CSV column
 
 
 def view_masks(tree: ShortestPathTree, demand: DemandMap) -> dict:
@@ -35,23 +63,24 @@ def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
     return {v: tree.arcs_of(m) for v, m in view_masks(tree, demand).items()}
 
 
-def _subscriber_mask(tree: ShortestPathTree, demand: DemandMap, views) -> int:
-    views = set(views)
-    mask = 0
-    for t, v in demand.demand.items():
-        if v in views:
-            mask |= tree.path_mask[t]
-    return mask
+def _union(masks: dict, views) -> int:
+    return reduce(or_, (masks.get(v, 0) for v in views), 0)
+
+
+def phi(mid: int, left: int, right: int) -> int:
+    """Closed-form synthesis cost on masks, |mid - left| + |mid - right|:
+    the arcs of `mid` that each source's tree misses, counted per source."""
+    return (mid & ~left).bit_count() + (mid & ~right).bit_count()
 
 
 def subscriber_tree(tree: ShortestPathTree, demand: DemandMap, views) -> frozenset:
     """Union of root paths over terminals whose desired view is in `views`."""
-    return tree.arcs_of(_subscriber_mask(tree, demand, views))
+    return tree.arcs_of(_union(view_masks(tree, demand), views))
 
 
 def direct_cost(tree: ShortestPathTree, demand: DemandMap, view: int) -> int:
     """Cost of multicasting `view` to exactly its subscribers (0 if none)."""
-    return _subscriber_mask(tree, demand, {view}).bit_count()
+    return view_masks(tree, demand).get(view, 0).bit_count()
 
 
 def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
@@ -66,12 +95,8 @@ def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
     bad = [v for v in between if not (left < v < right)]
     if bad:
         raise ValueError(f"views {sorted(bad)} are not strictly between {left} and {right}")
-    mid = _subscriber_mask(tree, demand, between)
-    if not mid:
-        return 0
-    tl = _subscriber_mask(tree, demand, {left})
-    tr = _subscriber_mask(tree, demand, {right})
-    return (mid & ~tl).bit_count() + (mid & ~tr).bit_count()
+    masks = view_masks(tree, demand)
+    return phi(_union(masks, between), masks.get(left, 0), masks.get(right, 0))
 
 
 def _delivery_masks(masks: dict, theta) -> dict:
@@ -116,3 +141,51 @@ def cost_of_parts(masks: dict, theta) -> int:
     of the union of its receivers' paths.
     """
     return sum(m.bit_count() for m in _delivery_masks(masks, theta).values())
+
+
+def _check_mode(mode):
+    if mode not in PHI_MODES:
+        raise ValueError(f"phi mode must be one of {PHI_MODES}, got {mode!r}")
+    return mode
+
+
+def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
+                     D: int, solve_one, mode: str | None = None,
+                     crossing_allowed: bool = False,
+                     stats: dict | None = None) -> SolveResult:
+    """Build `view_masks(tree, demand)` once, run `solve_one(seg, masks)
+    -> (value, theta)` on every maximal segment of the desired views, and
+    certify the joined selection as solver `name`'s result: it must be
+    valid for D, and its total must equal its re-cost by `evaluate_cost`
+    on fresh masks, which shares no solver's telescoped prices; literal
+    and per_view prices may exceed the re-cost, but none may fall below it.
+    """
+    if mode is not None:
+        _check_mode(mode)
+    masks = view_masks(tree, demand)
+    total, theta, per_segment = 0, {}, []
+    for seg in segment_views(demand, D):
+        value, th = solve_one(seg, masks)
+        total += value
+        theta.update(th)
+        per_segment.append((seg, value))
+    issues = validate_selection(theta, demand, D, crossing_allowed)
+    if issues:
+        raise SolverError(f"{name} selection is invalid: " + "; ".join(issues))
+    evaluated = evaluate_cost(tree, demand, theta)
+    if total < evaluated:
+        raise SolverError(f"{name} value {total} below true cost {evaluated}")
+    if total != evaluated and mode not in ("literal", "per_view"):
+        raise SolverError(f"{name} value {total} != re-evaluated cost {evaluated}")
+    return SolveResult(total, theta, transmitted_views(theta), per_segment,
+                       evaluated, name, mode, {} if stats is None else stats)
+
+
+def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
+    """Fraction of terminals that receive two distinct views."""
+    if not demand.demand:
+        return 0.0
+    theta = result.theta
+    two = sum(n for v, n in demand.view_counts.items()
+              if theta[v][0] != theta[v][1])
+    return two / len(demand.demand)

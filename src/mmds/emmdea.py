@@ -17,15 +17,15 @@ is a cons cell ``(parent_back, (k, (l, r)))``, decoded into theta for the
 best final state only.  Delivery trees are ``cost.view_masks`` bitmasks.
 A segment is refused (``StateSpaceError``) past ``state_cap`` states in
 one column or ten times that summed over its columns.  The sweep runs
-per segment under ``mmdea.solve_by_segment``, which certifies the result.
+per segment under ``cost.solve_by_segment``, which certifies the result.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
 
+from .cost import SolveResult, SolverError, solve_by_segment
 from .graphs import DemandMap, ShortestPathTree
-from .mmdea import SolveResult, SolverError, solve_by_segment
 
 DEFAULT_STATE_CAP = 200_000
 

@@ -6,7 +6,7 @@ trees alone: three popcounts.  Only the strictly best improvement is
 committed per round, so the cost decreases monotonically.
 
 A move changes only its own segment's trees, so each segment runs its own
-greedy under ``mmdea.solve_by_segment`` on copies of the driver's masks,
+greedy under ``cost.solve_by_segment`` on copies of the masks it builds,
 checking every round with ``cost.cost_of_parts``.  One greedy over all
 segments commits, each round, the best next move among the segments,
 ranked by (-gain, view, width); ``heapq.merge`` over the segments' moves
@@ -19,9 +19,8 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .cost import cost_of_parts
+from .cost import SolveResult, SolverError, cost_of_parts, solve_by_segment
 from .graphs import DemandMap, Segment, ShortestPathTree
-from .mmdea import SolveResult, SolverError, solve_by_segment
 
 
 @dataclass

@@ -13,17 +13,19 @@ Three ways of pricing a synthesis step are supported:
                  against the arcs already carrying the anchor view in the
                  predecessor variant.  Sums telescope to the true cost of
                  the reconstructed selection.
-* ``literal``  - the closed-form expansion cost against the sources' own
-                 subscriber trees only.  May overcharge when the anchor
-                 already reaches synthesis clients of an earlier step.
+* ``literal``  - the closed-form expansion cost ``cost.phi`` against
+                 the sources' own subscriber trees only.  May overcharge
+                 when the anchor already reaches synthesis clients of an
+                 earlier step.
 * ``per_view`` - like ``literal`` but summed per intermediate view,
                  double-counting arcs shared between their trees.
 
 Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
 popcount: |A - B| is ``(a & ~b).bit_count()``.
 
-``solve_by_segment``, the driver every solver and oracle shares, builds
-the view masks once, runs a per-segment search and calls ``certify``.
+The DP runs per segment under ``cost.solve_by_segment``, which every
+solver and oracle shares: it builds the view masks once and certifies the
+joined selection.
 
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
@@ -38,16 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import INFEASIBLE, evaluate_cost, view_masks
-from .graphs import (DemandMap, Segment, ShortestPathTree, segment_views,
-                     transmitted_views, validate_selection)
-
-PHI_MODES = ("literal", "exact", "per_view")
-
-
-class SolverError(RuntimeError):
-    """Internal inconsistency: a solver produced a selection it cannot
-    defend (validation failure or cost mismatch)."""
+from .cost import (INFEASIBLE, SolveResult, SolverError, _check_mode, phi,
+                   solve_by_segment, view_masks)
+from .graphs import DemandMap, Segment, ShortestPathTree
 
 
 @dataclass
@@ -76,73 +71,6 @@ class CostTable:
         choices = sorted(self.columns[k].items())
         d, var = min(choices, key=lambda kv: (kv[1].value, kv[0]))
         return d, var
-
-
-@dataclass
-class SolveResult:
-    total: int
-    theta: dict
-    transmitted: tuple
-    per_segment: list
-    evaluated: int
-    solver: str
-    phi_mode: str | None = None
-    stats: dict = field(default_factory=dict)  # work counters; no CSV column
-
-
-def certify(name: str, tree: ShortestPathTree, demand: DemandMap, D: int,
-            theta: dict, total, per_segment: list, mode: str | None = None,
-            crossing_allowed=False, stats: dict | None = None) -> SolveResult:
-    """Check solver `name`'s selection and build its result: it must be
-    valid for D, and `total` must equal its re-cost by `evaluate_cost` on
-    fresh masks, which shares no solver's telescoped prices; literal and
-    per_view prices may exceed the re-cost, but none may fall below it."""
-    issues = validate_selection(theta, demand, D, crossing_allowed)
-    if issues:
-        raise SolverError(f"{name} selection is invalid: " + "; ".join(issues))
-    evaluated = evaluate_cost(tree, demand, theta)
-    if total < evaluated:
-        raise SolverError(f"{name} value {total} below true cost {evaluated}")
-    if total != evaluated and mode not in ("literal", "per_view"):
-        raise SolverError(f"{name} value {total} != re-evaluated cost {evaluated}")
-    return SolveResult(total, theta, transmitted_views(theta), per_segment,
-                       evaluated, name, mode, {} if stats is None else stats)
-
-
-def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
-                     D: int, solve_one, mode: str | None = None,
-                     crossing_allowed: bool = False,
-                     stats: dict | None = None) -> SolveResult:
-    """Build `view_masks(tree, demand)` once, run `solve_one(seg, masks)
-    -> (value, theta)` on every maximal segment of the desired views, and
-    `certify` the joined selection."""
-    if mode is not None:
-        _check_mode(mode)
-    masks = view_masks(tree, demand)
-    total, theta, per_segment = 0, {}, []
-    for seg in segment_views(demand, D):
-        value, th = solve_one(seg, masks)
-        total += value
-        theta.update(th)
-        per_segment.append((seg, value))
-    return certify(name, tree, demand, D, theta, total, per_segment, mode,
-                   crossing_allowed, stats)
-
-
-def two_view_fraction(result: SolveResult, demand: DemandMap) -> float:
-    """Fraction of terminals that receive two distinct views."""
-    if not demand.demand:
-        return 0.0
-    theta = result.theta
-    two = sum(n for v, n in demand.view_counts.items()
-              if theta[v][0] != theta[v][1])
-    return two / len(demand.demand)
-
-
-def _check_mode(mode):
-    if mode not in PHI_MODES:
-        raise ValueError(f"phi mode must be one of {PHI_MODES}, got {mode!r}")
-    return mode
 
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
@@ -199,12 +127,9 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 price = head + ck
             elif mode == "per_view":
                 m_a = masks.get(a, 0)
-                price = head + ck + sum(
-                    (masks[v] & ~m_a).bit_count() + (masks[v] & ~mk).bit_count()
-                    for v in between)
+                price = head + ck + sum(phi(masks[v], m_a, mk) for v in between)
             elif mode == "literal":
-                price = (head + ck + (joint & ~masks.get(a, 0)).bit_count()
-                         + (joint & ~mk).bit_count())
+                price = head + ck + phi(joint, masks.get(a, 0), mk)
             else:
                 # value order: once a stored value alone exceeds the best
                 # price, the popcount (>= 0) cannot bring a later one back;

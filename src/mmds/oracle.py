@@ -6,7 +6,7 @@ non-crossing selection is exactly a set F of transmitted views containing
 both segment boundaries with consecutive gaps <= D, where every desired
 view outside F maps to its enclosing consecutive pair in F.  The oracle
 enumerates F directly and never reuses the solvers' reasoning: each
-enumeration runs per segment under ``mmdea.solve_by_segment``, which holds
+enumeration runs per segment under ``cost.solve_by_segment``, which holds
 no search reasoning, only the segment loop, its masks and the certificate.
 """
 
@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 
-from .cost import cost_of_parts, evaluate_cost
+from .cost import SolveResult, cost_of_parts, evaluate_cost, solve_by_segment
 from .graphs import (DemandMap, Segment, ShortestPathTree, identity_selection,
                      transmitted_views)
-from .mmdea import SolveResult, solve_by_segment
 
 MMDS_SPAN_GUARD = 22
 EMMDS_PRODUCT_GUARD = 10 ** 7

@@ -32,11 +32,17 @@ import numpy as np
 from .graphs import DemandMap, NetworkGraph, bfs_distances
 
 
+def is_integer(token: str) -> bool:
+    """Whether `token` is an integer as every input of the program reads
+    one: an optional ``-``, then ASCII digits.  str.isdigit() also takes
+    '²' and '٣', and int() reads '٣' as 3, '1_0' as 10 and '+2' as 2."""
+    digits = token[1:] if token.startswith("-") else token
+    return digits.isascii() and digits.isdigit()
+
+
 def _node_id(token: str):
     tok = token.strip()
-    neg = tok[1:] if tok.startswith("-") else tok
-    # str.isdigit() also takes '²' and '٣', which int() refuses or reads as 3
-    return int(tok) if neg.isascii() and neg.isdigit() else tok
+    return int(tok) if is_integer(tok) else tok
 
 
 def _one_id_kind(ids, line):
@@ -201,7 +207,9 @@ def parse_topology(source, fmt: str = "gml",
 def _largest_component(graph: NetworkGraph) -> NetworkGraph:
     seen = set()
     best = set()
-    for start in graph.nodes:
+    # each search starts at its component's smallest node, so of equal
+    # components the one holding the smallest id is found first and kept
+    for start in sorted(graph.nodes):
         if start in seen:
             continue
         comp = set(bfs_distances(graph._adj, start))
@@ -214,12 +222,19 @@ def _largest_component(graph: NetworkGraph) -> NetworkGraph:
 
 
 def write_gml(graph: NetworkGraph, path):
+    """Write `graph` as GML; a non-integer id, or a label that holds a
+    quote or a line break, which `parse_topology` could not read back,
+    raises ValueError before the file is opened."""
     labels = getattr(graph, "labels", {})
+    if not all(isinstance(n, int) for n in graph.nodes):
+        raise ValueError("GML output requires integer node ids")
+    for n, label in labels.items():
+        if re.search(f'["{_EOL}]', str(label)):
+            raise ValueError(f"GML label {label!r} of node {n} holds a quote "
+                             "or a line break")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("graph [\n")
         for n in sorted(graph.nodes):
-            if not isinstance(n, int):
-                raise ValueError("GML output requires integer node ids")
             fh.write(f"  node [\n    id {n}\n")
             if n in labels:
                 fh.write(f'    label "{labels[n]}"\n')
@@ -230,6 +245,12 @@ def write_gml(graph: NetworkGraph, path):
 
 
 def write_edges(graph: NetworkGraph, path):
+    """Write `graph` as an edge list; a name that would not read back as
+    one column, one that holds a blank or ``#`` or is empty, raises
+    ValueError before the file is opened."""
+    for n in graph.nodes:
+        if str(n).split("#", 1)[0].split() != [str(n)]:
+            raise ValueError(f"node {n!r} cannot be an edge-list column")
     with open(path, "w", encoding="utf-8") as fh:
         for e in sorted(tuple(sorted(e, key=repr)) for e in graph.edges):
             fh.write(f"{e[0]} {e[1]}\n")
@@ -320,10 +341,9 @@ def read_demand(path, universe_size=None) -> DemandMap:
     pairs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, terminal, view in _two_columns(fh, "'terminal view'"):
-            try:
-                pairs[_node_id(terminal)] = int(view)
-            except ValueError:
+            if not is_integer(view):
                 raise ValueError(f"line {ln}: view {view!r} is not an integer")
+            pairs[_node_id(terminal)] = int(view)
     if not pairs:
         raise ValueError("demand file is empty")
     if universe_size is None:

@@ -1,15 +1,14 @@
 """The certificate every solver and oracle result passes
-(`mmdea.certify`): the selection must be valid and its value must equal
+(`cost.solve_by_segment`): the selection must be valid and its value must equal
 the independent re-cost, except that literal and per_view prices may
 overcharge; no value may fall below the re-cost."""
 
 import pytest
 
-from mmds import emmdea, mmdea, oracle
+from mmds import cost, emmdea, mmdea, oracle
 from mmds.cli import run_solver
-from mmds.cost import evaluate_cost
+from mmds.cost import SolverError, evaluate_cost
 from mmds.instances import demo_instance
-from mmds.mmdea import SolverError
 
 D = 4
 SEARCH = {"mmdea": (mmdea, "solve_segment"),
@@ -69,16 +68,21 @@ def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
     masks.  Give the lowest view, a segment end that is never replaced, an
     arc outside the tree in those masks, so that every round agrees and
     only the certificate, which re-costs through `evaluate_cost` on fresh
-    masks, sees the value is one too high."""
+    masks, sees the value is one too high.  `solve_by_segment` builds the
+    search's masks with the solve's first `view_masks` call and the
+    certificate's with its second."""
     tree, demand = demo_instance()
     low = demand.desired_views[0]
-    real_masks = mmdea.view_masks
+    real_masks = cost.view_masks
+    calls = []
 
     def view_masks(tree, demand):
         masks = real_masks(tree, demand)
-        masks[low] |= 1 << len(tree.arc_list)
+        if not calls:
+            masks[low] |= 1 << len(tree.arc_list)
+        calls.append(1)
         return masks
-    monkeypatch.setattr(mmdea, "view_masks", view_masks)
+    monkeypatch.setattr(cost, "view_masks", view_masks)
     with pytest.raises(SolverError,
                        match="^hmmdea value 39 != re-evaluated cost 38"):
         run_solver("hmmdea", tree, demand, D, "exact")

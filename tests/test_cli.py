@@ -16,9 +16,9 @@ import pytest
 from mmds import cli
 from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
+from mmds.cost import SolverError
 from mmds.emmdea import solve_extended
 from mmds.instances import DEMO_DEMAND, demo_graph
-from mmds.mmdea import SolverError
 from mmds.workload import (generate_topology, parse_topology, write_edges,
                            zipf_pmf, zipf_rank_to_view)
 
@@ -286,6 +286,21 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--gen", "abc")
         assert code == 1 and "--gen" in err
 
+    @pytest.mark.parametrize("spec", ["٣0,40", "3_0,40", "+30,40"])
+    def test_gen_takes_only_ascii_digits(self, capsys, spec):
+        code, out, err = run_cli(capsys, "run", "--gen", spec, "--clients", "2",
+                                 "--samples", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: --gen expects N,E, got '{spec}'\n"
+
+    def test_uniform_takes_no_parameter(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--topology", KDL_PATH,
+                                 "--dist", "uniform:7", "--clients", "3",
+                                 "--samples", "1")
+        assert code == 1 and out == ""
+        assert err == ("error: uniform demand takes no parameter, "
+                       "got 'uniform:7'\n")
+
 
 def strip_runtimes(rows):
     return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
@@ -551,6 +566,41 @@ def test_importing_the_cli_loads_numpy_random():
     subprocess.run([sys.executable, "-c", "import sys, mmds.cli; "
                     "sys.exit('numpy.random' not in sys.modules)"],
                    env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+@pytest.mark.parametrize("argv", [
+    "run --preset demo --views ٣", "run --preset demo --clients 1_0",
+    "run --preset demo --d +4", "run --preset demo --samples ٣",
+    "run --preset demo --seed 1_0",
+    "solve --topology x --demand y --d ٣",
+    "solve --topology x --demand y --d 4 --views +8"])
+def test_integer_flags_take_only_ascii_digits(capsys, argv):
+    """Each integer flag fails as `--views abc` does: argparse's usage
+    error, exit 2."""
+    *args, flag, value = argv.split()
+    with pytest.raises(SystemExit) as stop:
+        main([*args, flag, value])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {flag}: invalid int value: "
+                        f"'{value}'\n")
+
+
+def test_one_solver_table(monkeypatch, capsys, demo_files):
+    """`run_solver`, the `solve --solver` choices and `run --solver`'s
+    check all read `cli.SOLVERS`."""
+    monkeypatch.setitem(cli.SOLVERS, "direct", cli.SOLVERS["omds"])
+    topo, dem = demo_files
+    code, out, _ = run_cli(capsys, "solve", "--topology", topo, "--format",
+                           "edges", "--demand", dem, "--d", "4",
+                           "--solver", "direct")
+    assert code == 0 and "total bandwidth: 45\n" in out
+    rows = run_scenario(ScenarioConfig(preset="demo", d=4,
+                                       solvers=("direct", "omds")))
+    assert rows[0]["total_bandwidth"] == rows[1]["total_bandwidth"] == 45
+    code, _, err = run_cli(capsys, "run", "--preset", "demo", "--d", "4",
+                           "--solver", "direct,omds", "--out", "-")
+    assert code == 0 and err == ""
 
 
 class TestParser:

@@ -1,7 +1,9 @@
 
 
+import ast
 import random
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
                   direct_cost, edge_view_loads, evaluate_cost, expansion_cost,
                   identity_selection, parse_topology, sample_demand,
                   solve_general, subscriber_tree, view_trees)
+from mmds import cost, mmdea
 from mmds.cost import cost_of_parts, view_masks
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
@@ -257,3 +260,45 @@ class TestPathMasksAgainstReference:
         terms = random.Random(clients).sample(nodes, clients)
         demand = sample_demand(DemandDistribution("uniform", 12), terms, seed=7)
         self.assert_matches_reference(build_spt(graph, terms), demand, 5)
+
+
+class TestOneCostLayer:
+    """Every solver shares one cost layer: `solve_by_segment`, its
+    certificate and the closed-form price live in `cost`, and each cost
+    functional builds the view masks once."""
+
+    @pytest.mark.parametrize("module", ["emmdea", "hmmdea", "oracle"])
+    def test_solvers_import_only_the_cost_layer_and_graphs(self, module):
+        source = Path(cost.__file__).with_name(f"{module}.py").read_text()
+        local = {node.module for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ImportFrom) and node.level}
+        assert local == {"cost", "graphs"}
+
+    def test_phi_counts_the_arcs_each_source_misses(self, rng):
+        def arcs(mask):
+            return {i for i in range(12) if mask >> i & 1}
+        for _ in range(300):
+            mid, left, right = (rng.getrandbits(12) for _ in range(3))
+            assert cost.phi(mid, left, right) == \
+                len(arcs(mid) - arcs(left)) + len(arcs(mid) - arcs(right))
+
+    def test_each_functional_builds_the_masks_once(self, monkeypatch):
+        calls = []
+        real = cost.view_masks
+        monkeypatch.setattr(cost, "view_masks",
+                            lambda *args: calls.append(1) or real(*args))
+        tree, demand = demo_instance()
+        assert len(subscriber_tree(tree, demand, {2, 4})) == 9 \
+            and len(calls) == 1
+        assert direct_cost(tree, demand, 2) == 7 and len(calls) == 2
+        assert expansion_cost(tree, demand, {3, 4}, 2, 5) == 12 \
+            and len(calls) == 3
+
+    @pytest.mark.parametrize("mode", ["exact", "literal", "per_view"])
+    def test_closed_form_prices_call_phi(self, monkeypatch, mode):
+        calls = []
+        monkeypatch.setattr(mmdea, "phi",
+                            lambda *args: calls.append(1) or cost.phi(*args))
+        tree, demand = demo_instance()
+        solve_general(tree, demand, 4, mode)
+        assert bool(calls) == (mode != "exact")

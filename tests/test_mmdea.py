@@ -8,9 +8,9 @@ from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
                   ShortestPathTree, brute_force_mmds, evaluate_cost, h_solve,
                   identity_selection, omds, segment_views, solve_d2, solve_d3,
                   solve_general, solve_segment, two_view_fraction)
-from mmds.cost import view_masks
+from mmds.cost import PHI_MODES, SolverError, view_masks
 from mmds.instances import demo_instance
-from mmds.mmdea import PHI_MODES, SolverError, Variant, backtrack
+from mmds.mmdea import Variant, backtrack
 
 from conftest import bundled_instance, random_tree_instance, small_instances
 

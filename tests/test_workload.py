@@ -1,18 +1,24 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmds import (DemandDistribution, DemandMap, generate_topology,
-                  parse_topology, read_demand, sample_demand, write_demand,
-                  write_edges, write_gml, zipf_pmf, zipf_rank_to_view)
+import mmds
+from mmds import (DemandDistribution, DemandMap, NetworkGraph,
+                  generate_topology, parse_topology, read_demand,
+                  sample_demand, write_demand, write_edges, write_gml,
+                  zipf_pmf, zipf_rank_to_view)
 from mmds.workload import _node_id, _one_id_kind, _parse_gml, _token_lines
 
 KDL = files("mmds.data") / "kdl_754_895.gml"
@@ -28,6 +34,14 @@ graph [
   edge [ source 2 target 3 ]
   edge [ source 2 target 1 ]
 ]
+"""
+
+TIED_COMPONENTS_SCRIPT = """
+import io, warnings
+from mmds import parse_topology
+warnings.simplefilter("ignore")
+print(sorted(parse_topology(io.StringIO("c d\\na b\\n"), "edges",
+                            largest_component=True).nodes))
 """
 
 
@@ -123,6 +137,31 @@ class TestParseGml:
         assert g.nodes == {3, 4, 5}
         assert g.server == 3
         assert g.is_connected()
+
+    def test_tied_largest_component_holds_the_smallest_id(self):
+        src = str(Path(mmds.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        kept = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            kept.add(subprocess.run([sys.executable, "-c", TIED_COMPONENTS_SCRIPT],
+                                    env=env, capture_output=True, text=True,
+                                    check=True).stdout)
+        assert kept == {"['a', 'b']\n"}
+
+    @pytest.mark.parametrize("label", ['say "hi"', "two\nlines", "cr\rlf",
+                                       "line\u2028separator"])
+    def test_label_that_cannot_read_back_is_refused(self, tmp_path, label):
+        readable = {1: "a b", 2: "[#] x", 3: "²"}
+        path = tmp_path / "g.gml"
+        g = NetworkGraph([1, 2, 3], [(1, 2), (2, 3)], 1, readable)
+        write_gml(g, path)
+        assert parse_topology(str(path)).labels == readable
+        path.unlink()
+        g = NetworkGraph([1, 2, 3], [(1, 2), (2, 3)], 1, {**readable, 2: label})
+        with pytest.raises(ValueError, match="holds a quote or a line break"):
+            write_gml(g, path)
+        assert not path.exists()
 
     def test_mixed_id_kinds_name_the_first_odd_id(self):
         text = ('graph [\n  node [ id 1 ]\n  node [ id 2 ]\n  node [ id a ]\n'
@@ -388,6 +427,23 @@ class TestAsciiDigitIds:
         path.write_text("² 1\n٣ 2\n3 4\n", encoding="utf-8")
         assert read_demand(path).demand == {"²": 1, "٣": 2, 3: 4}
 
+    @pytest.mark.parametrize("view", ["٣", "1_0", "+2"])
+    def test_demand_view_takes_only_ascii_digits(self, tmp_path, view):
+        path = tmp_path / "d.txt"
+        path.write_text(f"a 1\nb {view}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line 2: view '{re.escape(view)}' "
+                                             "is not an integer$"):
+            read_demand(path)
+
+    @pytest.mark.parametrize("token, number", [
+        ("12", True), ("-3", True), ("007", True), ("٣", False), ("²", False),
+        ("1_0", False), ("+2", False), ("-", False), ("", False),
+        ("1.0", False)])
+    def test_one_integer_rule(self, token, number):
+        from mmds.workload import is_integer
+        assert is_integer(token) is number
+        assert isinstance(_node_id(token), int) is number
+
 
 class TestParseEdges:
     def test_path_graph(self):
@@ -422,6 +478,26 @@ class TestParseEdges:
         path = tmp_path / "g.edges"
         write_edges(g, path)
         assert parse_topology(str(path), "edges") == g
+
+    @pytest.mark.parametrize("name", ["a b", "a\tb", "a#b", ""])
+    def test_name_that_cannot_read_back_is_refused(self, tmp_path, name):
+        path = tmp_path / "g.edges"
+        g = parse_topology(io.StringIO('graph [ node [ id "a-b" ] node [ id c ] '
+                                       'edge [ source "a-b" target c ] ]'))
+        write_edges(g, path)
+        assert parse_topology(str(path), "edges") == g
+        path.unlink()
+        g = NetworkGraph(["c", name], [("c", name)], "c")
+        with pytest.raises(ValueError, match="cannot be an edge-list column"):
+            write_edges(g, path)
+        assert not path.exists()
+
+    def test_gml_name_with_a_space_is_refused(self, tmp_path):
+        g = parse_topology(io.StringIO('graph [ node [ id "a b" ] node [ id c ] '
+                                       'edge [ source "a b" target c ] ]'))
+        with pytest.raises(ValueError, match="^node 'a b' cannot be an "
+                                             "edge-list column$"):
+            write_edges(g, tmp_path / "g.edges")
 
 
 class TestGenerateTopology:
