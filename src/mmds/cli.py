@@ -99,11 +99,16 @@ def parse_dist(spec: str, view_count: int) -> DemandDistribution:
         if arg:
             raise ValueError(f"uniform demand takes no parameter, got {spec!r}")
         return DemandDistribution("uniform", view_count)
+    if name not in ("gaussian", "zipf"):
+        raise ValueError(f"unknown demand distribution {spec!r}")
+    # the integer rule with at most one '.': float() also reads '٣' as 3,
+    # '1_0' as 10 and '+2' as 2
+    whole, _, frac = arg.removeprefix("-").partition(".")
+    if arg and not ((whole + frac).isascii() and (whole + frac).isdigit()):
+        raise ValueError(f"{name} demand takes a decimal number, got {spec!r}")
     if name == "gaussian":
         return DemandDistribution("gaussian", view_count, variance=float(arg or 4))
-    if name == "zipf":
-        return DemandDistribution("zipf", view_count, exponent=float(arg or 2))
-    raise ValueError(f"unknown demand distribution {spec!r}")
+    return DemandDistribution("zipf", view_count, exponent=float(arg or 2))
 
 
 def run_solver(name: str, tree, demand, D: int, phi: str):
@@ -195,12 +200,16 @@ def _solver_row(base, solver, tree, demand, D, phi):
 
 def run_scenario(config: ScenarioConfig) -> list[dict]:
     """Run all samples of a scenario; one row per (sample, solver) plus a
-    mean row per solver, in sample order.  A bad D or a negative sample
-    count raises before anything is parsed or run."""
+    mean row per solver, in sample order.  A bad D, a negative sample count
+    or a negative seed raises before anything is parsed or run."""
     check_quality(config.d)
     if config.samples < 0:
         raise ValueError(f"sample count must be >= 0, got {config.samples}")
+    if config.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {config.seed}")
     if config.preset == "demo":
+        # the demo's demand is fixed, but a bad --dist fails as on a topology
+        parse_dist(config.dist, DEMO_VIEW_COUNT)
         tree, demand = demo_instance()
         base = _echo(config)
         base.update({"views": DEMO_VIEW_COUNT, "clients": len(demand),

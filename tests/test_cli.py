@@ -301,6 +301,38 @@ class TestRunCommand:
         assert err == ("error: uniform demand takes no parameter, "
                        "got 'uniform:7'\n")
 
+    @pytest.mark.parametrize("spec", ["bogus", "uniform:7", "zipf:1_0"])
+    def test_preset_checks_dist(self, capsys, spec):
+        code, out, err = run_cli(capsys, "run", "--preset", "demo", "--d", "4",
+                                 "--dist", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and spec in err
+
+    @pytest.mark.parametrize("spec", ["gaussian:٣", "zipf:1_0", "gaussian:+2",
+                                      "zipf:nan", "gaussian:1.5.0"])
+    def test_dist_numbers_take_only_ascii_digits(self, capsys, spec):
+        name = spec.partition(":")[0]
+        code, out, err = run_cli(capsys, "run", "--gen", "30,40", "--clients",
+                                 "3", "--samples", "1", "--dist", spec)
+        assert code == 1 and out == ""
+        assert err == f"error: {name} demand takes a decimal number, got '{spec}'\n"
+
+    @pytest.mark.parametrize("spec", ["gaussian:.5", "gaussian:2.", "zipf:1.25",
+                                      "zipf:", "gaussian:16"])
+    def test_dist_numbers_in_decimal_notation_run(self, spec):
+        rows = run_scenario(ScenarioConfig(gen=(30, 40), clients=3, samples=1,
+                                           dist=spec, solvers=("omds",)))
+        assert rows[0]["status"] == "ok" and rows[0]["dist"] == spec
+
+    def test_negative_seed_fails_before_any_sample(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_run_sample", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "run", "--gen", "30,40", "--clients",
+                                 "2", "--samples", "1", "--seed", "-3")
+        assert calls == []
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be >= 0, got -3\n"
+
 
 def strip_runtimes(rows):
     return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
@@ -387,8 +419,10 @@ class TestSampleDraw:
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# Each committed CSV is `mmds run` at the parent of the change that added
-# it, with runtime_ms cut; CI diffs the installed command against it.
+# Each committed CSV is `mmds run` with runtime_ms cut; CI diffs the
+# installed command against it.  The first three were made at the parent of
+# the change that added each; emmdea_k12_d6.csv holds emmdea's smallest-
+# chain tie rule, and its totals equal the unpruned sweep's.
 EXPECTED_RUNS = {
     "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
     "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
@@ -396,6 +430,8 @@ EXPECTED_RUNS = {
                               samples=4),
     "headline_gaussian4.csv": dict(views=12, d=5, clients=400,
                                    dist="gaussian:4", samples=20),
+    "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,
+                              solvers=("mmdea", "emmdea"), samples=2),
 }
 
 

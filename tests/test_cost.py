@@ -267,12 +267,21 @@ class TestOneCostLayer:
     certificate and the closed-form price live in `cost`, and each cost
     functional builds the view masks once."""
 
+    # beyond the cost layer, emmdea takes mmdea's per-segment optimum as
+    # the upper bound of its sweep, and nothing else
+    ALSO = {"emmdea": {("mmdea", "solve_segment")}}
+
     @pytest.mark.parametrize("module", ["emmdea", "hmmdea", "oracle"])
     def test_solvers_import_only_the_cost_layer_and_graphs(self, module):
         source = Path(cost.__file__).with_name(f"{module}.py").read_text()
-        local = {node.module for node in ast.walk(ast.parse(source))
-                 if isinstance(node, ast.ImportFrom) and node.level}
-        assert local == {"cost", "graphs"}
+        imports = [node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.ImportFrom) and node.level]
+        also = {(node.module, alias.name) for node in imports
+                if node.module not in ("cost", "graphs")
+                for alias in node.names}
+        assert also == self.ALSO.get(module, set())
+        assert {node.module for node in imports} - {m for m, _ in also} \
+            == {"cost", "graphs"}
 
     def test_phi_counts_the_arcs_each_source_misses(self, rng):
         def arcs(mask):

@@ -10,6 +10,7 @@ from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
 from mmds.cli import SOLVERS as SOLVER_NAMES
 from mmds.cli import run_solver
 from mmds.cost import view_masks, view_trees
+from mmds.emmdea import _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
@@ -97,24 +98,73 @@ class TestSolveExtended:
             assert res.total >= res.evaluated
 
     def test_summed_states_refuse_a_long_segment(self):
-        # 24 desired views, one client each on its own leaf: no column holds
-        # more than 19 states, but the 24 columns sum to over 190, so at a
-        # cap of 19 only the per-segment budget (10 x the cap) can refuse
+        # 24 desired views, one client each on its own leaf: unpruned, no
+        # column holds more than 19 states, but the 24 columns sum to over
+        # 190, so at a cap of 19 only the per-segment budget (10 x the cap)
+        # can refuse; literal mode does not prune
         K = 24
         tree = ShortestPathTree(0, {v: 0 for v in range(1, K + 1)},
                                 range(1, K + 1))
         demand = DemandMap({v: v for v in range(1, K + 1)}, K)
-        assert solve_extended(tree, demand, 3, state_cap=40).total == K
+        assert solve_extended(tree, demand, 3, "literal",
+                              state_cap=40).total == K
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3, state_cap=19)
+            solve_extended(tree, demand, 3, "literal", state_cap=19)
         assert str(refused.value).startswith("19 states at column 13 "
                                              "(194 since column 1)")
+        # exact mode prunes against mmdea's optimum (24): at most 6 states
+        # a column are kept, 125 in all, so a cap of 12 (120 per segment)
+        # is again refused by the summed budget alone
+        assert solve_extended(tree, demand, 3, state_cap=13).total == K
+        with pytest.raises(StateSpaceError, match="smaller D") as refused:
+            solve_extended(tree, demand, 3, state_cap=12)
+        assert str(refused.value).startswith("5 states at column 22 "
+                                             "(123 since column 1)")
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("mode", ["literal", "per_view"])
+    def test_only_exact_mode_prunes(self, rng, mode):
+        for _ in range(40):
+            tree, demand = random_tree_instance(rng, max_views=8)
+            stats = solve_extended(tree, demand, 3, mode).stats
+            assert stats["pruned"] == 0
+            assert stats["states"] >= stats["peak"] > 0
+
+    def test_exact_mode_counts_its_work(self):
+        tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024)
+        exact = solve_extended(tree, demand, 5).stats
+        literal = solve_extended(tree, demand, 5, "literal").stats
+        assert exact["pruned"] > 0
+        assert exact["states"] < literal["states"]
+
+    def test_k12_d6_on_every_client_keeps_few_states(self):
+        # unpruned, this instance sweeps about 145,000 states; the bound
+        # keeps 571
+        tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024,
+                                        clients=753)
+        result = solve_extended(tree, demand, 6)
+        assert result.total == 1920
+        assert result.stats["states"] < 1_000
+
+
+@given(small_instances())
+@settings(max_examples=60, deadline=None)
+def test_the_suffix_bound_never_exceeds_a_segment_optimum(inst):
+    tree, demand, D = inst
+    masks = view_masks(tree, demand)
+    for seg, value in solve_extended(tree, demand, D).per_segment:
+        h = _suffix_bounds(masks, seg.lo, seg.hi, D)
+        assert h[seg.hi] == 0
+        assert h[seg.lo - 1] <= value
 
 
 # The sweep as it stood before user sets became view bitmasks and theta a
 # backpointer chain: one dataclass per state, frozenset user sets, the
-# window re-sorted and the theta tuple copied on every push.  Kept as the
-# reference the bitmask sweep must match exactly, ties and order included.
+# window re-sorted and the theta tuple copied on every push.  It prunes
+# nothing, and settles equal values by the smaller theta tuple, per key and
+# among final states, so it returns the lexicographically smallest optimal
+# selection; the pruned bitmask sweep must match it exactly, ties included.
 
 @dataclass(frozen=True)
 class _RefState:
@@ -153,7 +203,7 @@ def _ref_segment(masks, desired, m, M, D, mode):
                     win.append((w, users))
             st = _RefState(tuple(win), tuple(sorted(promises)), val, theta)
             old = nxt.get(st.key())
-            if old is None or st.value < old.value:
+            if old is None or (st.value, st.theta) < (old.value, old.theta):
                 nxt[st.key()] = st
 
         for st in states.values():
@@ -191,9 +241,9 @@ def _ref_segment(masks, desired, m, M, D, mode):
         assert not st.promises
         val = st.value + sum(_ref_retire(w, users, masks, mode)
                              for w, users in st.window)
-        if best is None or val < best[0]:
-            best = (val, dict(st.theta))
-    return best
+        if best is None or (val, st.theta) < best:
+            best = (val, st.theta)
+    return best[0], dict(best[1])
 
 
 def reference_extended(tree, demand, D, mode):
