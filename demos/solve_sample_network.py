@@ -8,7 +8,6 @@ transmitted neighbours at most D=4 apart drops the total to 32.
 
 from mmds import (demo_instance, edge_view_loads, omds, solve_general,
                   transmitted_views)
-from mmds.cost import view_masks
 from mmds.graphs import segment_views
 from mmds.mmdea import solve_segment
 
@@ -32,8 +31,7 @@ for v in sorted(result.theta):
 
 # the per-column minima of the DP lattice, for the curious
 seg = segment_views(demand, D)[0]
-_, _, table = solve_segment(tree, demand, seg, D, "exact",
-                            view_masks(tree, demand))
+_, _, table = solve_segment(tree, demand, seg, D, "exact")
 print("\nDP column minima:",
       {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)})
 

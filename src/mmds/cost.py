@@ -11,10 +11,10 @@ its masks may leave bits unused.
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.
 
-Every solver and oracle runs its per-segment search under
-`solve_by_segment`, which builds the view masks once and certifies the
-joined selection against `evaluate_cost`; a solver module holds only its
-own search.
+`view_masks` builds a sample's view masks once, read-only, for all its
+solvers, oracles and certificates.  Each solver and oracle runs its
+per-segment search under `solve_by_segment`, which certifies the joined
+selection against `evaluate_cost`; a solver module holds only its search.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import inf as INFEASIBLE  # noqa: N811  (absorbing sentinel)
 from operator import or_
+from types import MappingProxyType
 
 from .graphs import (DemandMap, ShortestPathTree, segment_views,
                      transmitted_views, validate_selection)
 
 PHI_MODES = ("literal", "exact", "per_view")
+_last = (None, None, None)  # (tree, demand, masks) of the latest build
 
 
 class SolverError(RuntimeError):
@@ -47,15 +49,23 @@ class SolveResult:
     stats: dict = field(default_factory=dict)  # work counters; no CSV column
 
 
-def view_masks(tree: ShortestPathTree, demand: DemandMap) -> dict:
+def view_masks(tree: ShortestPathTree, demand: DemandMap) -> MappingProxyType:
     """Map each desired view to its view tree as an int bitmask, the OR of
     its subscribers' `tree.path_mask`, so that |A - B| is
-    `(a & ~b).bit_count()`."""
+    `(a & ~b).bit_count()`.  The mapping is read-only, and a call with the
+    tree and demand objects of the latest build returns that build: a tree
+    and a demand are never changed after they are built."""
+    global _last
+    last = _last
+    if last[0] is tree and last[1] is demand:
+        return last[2]
     path_mask = tree.path_mask
     out = {}
     for t, v in demand.demand.items():
         out[v] = out.get(v, 0) | path_mask[t]
-    return out
+    masks = MappingProxyType(out)
+    _last = (tree, demand, masks)
+    return masks
 
 
 def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
@@ -153,13 +163,12 @@ def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
                      D: int, solve_one, mode: str | None = None,
                      crossing_allowed: bool = False,
                      stats: dict | None = None) -> SolveResult:
-    """Build `view_masks(tree, demand)` once, run `solve_one(seg, masks)
-    -> (value, theta)` on every maximal segment of the desired views, and
-    certify the joined selection as solver `name`'s result: it must be
-    valid for D, and its total must equal its re-cost by `evaluate_cost`
-    on fresh masks, which shares no solver's telescoped prices; literal
-    and per_view prices may exceed the re-cost, but none may fall below it.
-    """
+    """Run `solve_one(seg, view_masks(tree, demand)) -> (value, theta)` on
+    every maximal segment of the desired views and certify the joined
+    selection as solver `name`'s result: it must be valid for D, and its
+    total must equal its `evaluate_cost` re-cost, which unions each
+    transmitted view's receivers and shares no solver's telescoped prices;
+    literal and per_view prices may exceed it, but none may fall below it."""
     if mode is not None:
         _check_mode(mode)
     masks = view_masks(tree, demand)

@@ -192,7 +192,7 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
     def solve_one(seg, masks):
         # a non-crossing selection is a crossing-allowed one, so mmdea's
         # optimum bounds the sweep; only exact mode prices telescope
-        ub = (solve_segment(tree, demand, seg, D, "exact", masks)[0]
+        ub = (solve_segment(tree, demand, seg, D, "exact")[0]
               if mode == "exact" else None)
         return _solve_segment(masks, frozenset(seg.members), seg.lo, seg.hi,
                               D, mode, state_cap, ub, stats)

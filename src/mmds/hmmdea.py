@@ -6,7 +6,7 @@ trees alone: three popcounts.  Only the strictly best improvement is
 committed per round, so the cost decreases monotonically.
 
 A move changes only its own segment's trees, so each segment runs its own
-greedy under ``cost.solve_by_segment`` on copies of the masks it builds,
+greedy under ``cost.solve_by_segment`` on copies of the shared masks,
 checking every round with ``cost.cost_of_parts``.  One greedy over all
 segments commits, each round, the best next move among the segments,
 ranked by (-gain, view, width); ``heapq.merge`` over the segments' moves

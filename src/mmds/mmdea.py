@@ -20,12 +20,10 @@ Three ways of pricing a synthesis step are supported:
 * ``per_view`` - like ``literal`` but summed per intermediate view,
                  double-counting arcs shared between their trees.
 
-Arc sets are int bitmasks from ``cost.view_masks``, so every price is a
-popcount: |A - B| is ``(a & ~b).bit_count()``.
-
-The DP runs per segment under ``cost.solve_by_segment``, which every
-solver and oracle shares: it builds the view masks once and certifies the
-joined selection.
+Arc sets are int bitmasks from ``cost.view_masks``, built once per sample
+and shared read-only, so every price is a popcount: |A - B| is
+``(a & ~b).bit_count()``.  The DP runs per segment under
+``cost.solve_by_segment``, which certifies the joined selection.
 
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
@@ -74,12 +72,10 @@ class CostTable:
 
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
-                  D: int, mode: str = "exact", masks=None) -> tuple:
-    """Fill the DP table for one segment; returns (cost, theta, table).
-    `masks` is `view_masks(tree, demand)`, computed here when omitted."""
+                  D: int, mode: str = "exact") -> tuple:
+    """Fill the DP table for one segment; returns (cost, theta, table)."""
     _check_mode(mode)
-    if masks is None:
-        masks = view_masks(tree, demand)
+    masks = view_masks(tree, demand)
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
@@ -198,8 +194,8 @@ def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
     """Optimal non-crossing view selection over all segments."""
     stats = {"cells": 0, "prices": 0}
 
-    def solve_one(seg, masks):
-        value, theta, table = solve_segment(tree, demand, seg, D, mode, masks)
+    def solve_one(seg, _masks):  # solve_segment reads the same masks
+        value, theta, table = solve_segment(tree, demand, seg, D, mode)
         stats["cells"] += table.cells
         stats["prices"] += table.prices
         return value, theta

@@ -22,7 +22,6 @@ from mmds import (DemandMap, ShortestPathTree, brute_force_emmds,
                   brute_force_mmds, evaluate_cost, h_solve, omds,
                   parse_topology, segment_views, solve_d2, solve_d3,
                   solve_extended, solve_general, solve_segment)
-from mmds.cost import view_masks
 from mmds.cli import ScenarioConfig, run_scenario
 from mmds.instances import demo_instance
 from mmds.oracle import OracleGuardError
@@ -99,8 +98,7 @@ def test_criterion_1_golden_instance():
     assert res.theta == THETA_STAR
 
     seg = segment_views(demand, 4)[0]
-    _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                view_masks(tree, demand))
+    _, _, table = solve_segment(tree, demand, seg, 4, "exact")
     minima = {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)}
     assert minima == DEMO_COLUMN_MINIMA
     elapsed = time.perf_counter() - start

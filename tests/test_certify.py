@@ -5,7 +5,7 @@ overcharge; no value may fall below the re-cost."""
 
 import pytest
 
-from mmds import cost, emmdea, mmdea, oracle
+from mmds import emmdea, hmmdea, mmdea, oracle
 from mmds.cli import run_solver
 from mmds.cost import SolverError, evaluate_cost
 from mmds.instances import demo_instance
@@ -64,25 +64,17 @@ def test_a_closed_form_undercharge_is_refused(monkeypatch, solver, mode):
 
 
 def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
-    """h_solve checks its start and every round against the driver's
-    masks.  Give the lowest view, a segment end that is never replaced, an
-    arc outside the tree in those masks, so that every round agrees and
-    only the certificate, which re-costs through `evaluate_cost` on fresh
-    masks, sees the value is one too high.  `solve_by_segment` builds the
-    search's masks with the solve's first `view_masks` call and the
-    certificate's with its second."""
-    tree, demand = demo_instance()
-    low = demand.desired_views[0]
-    real_masks = cost.view_masks
-    calls = []
+    """h_solve checks its start and every round against the sample's
+    masks, so only the certificate, which re-costs the joined selection
+    through `evaluate_cost`, can see a segment value that is one too high.
+    Make the greedy report its cost plus one."""
+    real = hmmdea._improve
 
-    def view_masks(tree, demand):
-        masks = real_masks(tree, demand)
-        if not calls:
-            masks[low] |= 1 << len(tree.arc_list)
-        calls.append(1)
-        return masks
-    monkeypatch.setattr(cost, "view_masks", view_masks)
+    def improve(*args):
+        value, theta = real(*args)
+        return value + 1, theta
+    monkeypatch.setattr(hmmdea, "_improve", improve)
+    tree, demand = demo_instance()
     with pytest.raises(SolverError,
                        match="^hmmdea value 39 != re-evaluated cost 38"):
         run_solver("hmmdea", tree, demand, D, "exact")

@@ -4,6 +4,7 @@ import ast
 import random
 from importlib.resources import files
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -11,7 +12,8 @@ from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
                   direct_cost, edge_view_loads, evaluate_cost, expansion_cost,
                   identity_selection, parse_topology, sample_demand,
                   solve_general, subscriber_tree, view_trees)
-from mmds import cost, mmdea
+from mmds import cli, cost, mmdea
+from mmds.cli import ScenarioConfig
 from mmds.cost import cost_of_parts, view_masks
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
@@ -264,8 +266,8 @@ class TestPathMasksAgainstReference:
 
 class TestOneCostLayer:
     """Every solver shares one cost layer: `solve_by_segment`, its
-    certificate and the closed-form price live in `cost`, and each cost
-    functional builds the view masks once."""
+    certificate and the closed-form price live in `cost`, and a sample's
+    solvers and functionals share one read-only build of the view masks."""
 
     # beyond the cost layer, emmdea takes mmdea's per-segment optimum as
     # the upper bound of its sweep, and nothing else
@@ -302,6 +304,39 @@ class TestOneCostLayer:
         assert direct_cost(tree, demand, 2) == 7 and len(calls) == 2
         assert expansion_cost(tree, demand, {3, 4}, 2, 5) == 12 \
             and len(calls) == 3
+
+    @pytest.mark.parametrize("views, d, dist, solvers", [
+        (12, 5, "uniform", ("omds", "mmdea")),
+        (24, 4, "zipf:1", ("omds", "mmdea", "emmdea", "hmmdea"))])
+    def test_a_sample_builds_the_masks_once(self, monkeypatch, views, d, dist,
+                                            solvers):
+        builds = []
+        monkeypatch.setattr(cost, "MappingProxyType",
+                            lambda out: builds.append(1) or MappingProxyType(out))
+        graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+        config = ScenarioConfig(views=views, clients=400, dist=dist, d=d,
+                                solvers=solvers, seed=2024)
+        rows = cli._run_sample(config, graph, cli._client_candidates(graph), 0)
+        assert [(row["solver"], row["status"]) for row in rows] == \
+            [(solver, "ok") for solver in solvers]
+        assert len(builds) == 1
+
+    def test_the_masks_are_read_only(self):
+        tree, demand = demo_instance()
+        masks = view_masks(tree, demand)
+        with pytest.raises(TypeError):
+            masks[2] = 0
+        assert masks[2].bit_count() == direct_cost(tree, demand, 2) == 7
+
+    def test_another_tree_or_demand_gets_a_fresh_build(self):
+        tree, demand = demo_instance()
+        other_tree, other_demand = demo_instance()
+        masks = view_masks(tree, demand)
+        assert view_masks(tree, demand) is masks
+        for pair in ((other_tree, demand), (tree, other_demand)):
+            fresh = view_masks(*pair)
+            assert fresh is not masks and fresh == masks
+        assert view_masks(tree, demand) is not masks  # only the latest is kept
 
     @pytest.mark.parametrize("mode", ["exact", "literal", "per_view"])
     def test_closed_form_prices_call_phi(self, monkeypatch, mode):

@@ -19,7 +19,7 @@ def reference_h_solve(tree, demand, D):
     segs = segment_views(demand, D)
     boundary = {v for seg in segs for v in (seg.lo, seg.hi)}
     theta = {v: (v, v) for v in demand.desired_views}
-    delivery = view_masks(tree, demand)
+    delivery = dict(view_masks(tree, demand))  # popped and grown below
     active = sorted(demand.desired_views)
     sources = set()
     cost_now = sum(arcs.bit_count() for arcs in delivery.values())

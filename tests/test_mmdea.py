@@ -47,8 +47,7 @@ class TestDemoGolden:
     def test_column_minima(self):
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
-        _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_masks(tree, demand))
+        _, _, table = solve_segment(tree, demand, seg, 4, "exact")
         got = {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)}
         assert got == DEMO_COLUMN_MINIMA
 
@@ -241,8 +240,7 @@ class TestBacktrack:
     def test_demo_table_backtracks_to_optimum(self):
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
-        _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_masks(tree, demand))
+        _, _, table = solve_segment(tree, demand, seg, 4, "exact")
         assert backtrack(table) == THETA_STAR
 
     def test_all_direct_optimum_is_identity(self):
@@ -254,8 +252,7 @@ class TestBacktrack:
     def test_dangling_pointer_raises(self):
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
-        _, _, table = solve_segment(tree, demand, seg, 4, "exact",
-                                    view_masks(tree, demand))
+        _, _, table = solve_segment(tree, demand, seg, 4, "exact")
         victim = table.best(8)[1]
         table.columns[8 - victim.d].pop(victim.choice[1])
         with pytest.raises(SolverError, match="dangling"):
@@ -351,7 +348,7 @@ class TestAgainstFullScanReference:
         total, theta = 0, {}
         for seg in segment_views(demand, D):
             ref = reference_table(masks, seg, D, mode)
-            _, _, got = solve_segment(tree, demand, seg, D, mode, masks)
+            _, _, got = solve_segment(tree, demand, seg, D, mode)
             assert cells_of(got) == cells_of(ref)
             total += ref.minimum(seg.hi)
             theta.update(backtrack(ref))
@@ -386,9 +383,8 @@ class TestAnchorTreesNest:
     price, and equal prices go to the smallest d without a tie clause."""
 
     def assert_nested(self, tree, demand, D):
-        masks = view_masks(tree, demand)
         for seg in segment_views(demand, D):
-            _, _, table = solve_segment(tree, demand, seg, D, "exact", masks)
+            _, _, table = solve_segment(tree, demand, seg, D, "exact")
             for col in table.columns.values():
                 trees = [v.anchor_tree for _, v in sorted(col.items())
                          if v.value != INFEASIBLE]
@@ -448,10 +444,9 @@ class TestSolveStats:
     def test_early_exit_prices_fewer_candidates(self, mode):
         tree, demand = bundled_instance(DemandDistribution("uniform", 100),
                                         2024, clients=753)
-        masks = view_masks(tree, demand)
         scanned = prices = 0
         for seg in segment_views(demand, 16):
-            _, _, table = solve_segment(tree, demand, seg, 16, mode, masks)
+            _, _, table = solve_segment(tree, demand, seg, 16, mode)
             scanned += scanned_candidates(table, mode)
             prices += table.prices
         assert solve_general(tree, demand, 16, mode).stats["prices"] == prices

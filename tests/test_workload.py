@@ -279,7 +279,8 @@ def gml_outcome(parse, text):
 def new_gml(text):
     """`_parse_gml(text)` with each edge's token index turned into a line."""
     nodes, labels, edges = _parse_gml(text)
-    return nodes, labels, [(a, b, _token_lines(text)(i)) for a, b, i in edges]
+    line = _token_lines(text)
+    return nodes, labels, [(a, b, line(i)) for a, b, i in edges]
 
 
 def topology_messages(text):
