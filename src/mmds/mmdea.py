@@ -28,10 +28,15 @@ and shared read-only, so every price is a popcount: |A - B| is
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
 exact mode |joint - m_k|; all of it in the other modes) is worked out once
-per variant.  Each finished column keeps its feasible variants ranked by
-(value, j), so a j-free price takes the head of the ranking, and exact
-mode walks it adding |joint - tree_j| and stops at the first value that
-alone exceeds the best price so far.  Equal prices go to the smallest j.
+per variant.  Each finished column keeps only its staircase: its feasible
+variants in (value, j) order, each with a larger j than every one before
+it.  A column's anchor trees nest as j grows, so a dropped variant has a
+strictly larger value and no smaller |joint - tree_j| than an earlier,
+kept one, and can never win or tie.  A j-free price takes the head of the
+staircase; exact mode walks it adding |joint| - |joint & tree_j| (|joint|
+counted once per anchor, so no complement is built) and stops at the
+first value that alone exceeds the best price so far.  Equal prices go to
+the smallest j.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .cost import (INFEASIBLE, SolveResult, SolverError, _check_mode, phi,
 from .graphs import DemandMap, Segment, ShortestPathTree
 
 
-@dataclass
+@dataclass(slots=True)
 class Variant:
     value: float
     d: int
@@ -55,7 +60,7 @@ class Variant:
 class CostTable:
     """DP lattice of one segment: columns[k][d] holds variant d at column k.
     `cells` counts the variants filled and `prices` the exact-mode
-    popcounts against a predecessor variant's tree."""
+    popcounts against a staircase entry's tree."""
     segment: Segment
     desired: frozenset
     columns: dict = field(default_factory=dict)
@@ -66,9 +71,7 @@ class CostTable:
         return min(v.value for v in self.columns[k].values())
 
     def best(self, k):
-        choices = sorted(self.columns[k].items())
-        d, var = min(choices, key=lambda kv: (kv[1].value, kv[0]))
-        return d, var
+        return min(self.columns[k].items(), key=lambda kv: (kv[1].value, kv[0]))
 
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
@@ -79,8 +82,9 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
-    # ranked[k]: (value, d, anchor_tree) of column k's feasible variants,
-    # ascending; d is unique per column, so value ties go to the smaller d
+    # ranked[k]: column k's staircase of (value, d, anchor_tree), ascending in
+    # value and d: built from the deepest d down, a variant joins when no
+    # deeper one is cheaper; d is unique per column, so ties go to the smaller d
     t = masks.get(m, 0)
     table.columns[m] = {0: Variant(t.bit_count(), 0, None, t)}
     ranked = {m: [(t.bit_count(), 0, t)]}
@@ -117,7 +121,7 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 col[d] = Variant(INFEASIBLE, d, None, 0)
                 continue
             # a price that is the same for every predecessor variant j
-            # goes to the head of the ranking; exact mode adds |joint - tree_j|
+            # goes to the head of the staircase; exact mode adds |joint - tree_j|
             head, j, _ = cands[0]
             if not between:
                 price = head + ck
@@ -128,22 +132,26 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 price = head + ck + phi(joint, masks.get(a, 0), mk)
             else:
                 # value order: once a stored value alone exceeds the best
-                # price, the popcount (>= 0) cannot bring a later one back;
-                # anchor trees grow with d, so no later, smaller dj ties
+                # price, the popcount (>= 0) cannot bring a later one back
+                nj = joint.bit_count()
                 bv = INFEASIBLE
                 for value, dj, tj in cands:
                     if value > bv:
                         break
-                    c = value + (joint & ~tj).bit_count()
+                    c = value + nj - (joint & tj).bit_count()
                     prices += 1
                     if c < bv:
                         bv, j = c, dj
-                price = bv + ck + (joint & ~mk).bit_count()
+                price = bv + ck + nj - (joint & mk).bit_count()
             col[d] = Variant(price, d, ("anchor", j), mk | joint)
         cells += len(col)
         table.columns[k] = col
-        ranked[k] = sorted((v.value, d, v.anchor_tree)
-                           for d, v in col.items() if v.value != INFEASIBLE)
+        stair, low = [], INFEASIBLE
+        for d, v in reversed(col.items()):
+            if v.value <= low and v.value != INFEASIBLE:
+                stair.append((v.value, d, v.anchor_tree))
+                low = v.value
+        ranked[k] = stair[::-1]
         if k in desired:
             last = k
     table.cells, table.prices = cells, prices

@@ -432,6 +432,7 @@ EXPECTED_RUNS = {
                                    dist="gaussian:4", samples=20),
     "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,
                               solvers=("mmdea", "emmdea"), samples=2),
+    "wide_k100_d16.csv": dict(views=100, d=16, clients=753, samples=2),
 }
 
 

@@ -378,9 +378,11 @@ class TestAgainstFullScanReference:
 
 
 class TestAnchorTreesNest:
-    """A column's anchor trees grow with the anchor depth d, so in the
-    exact-mode walk a later predecessor of smaller d never ties the best
-    price, and equal prices go to the smallest d without a tie clause."""
+    """A column's anchor trees grow with the anchor depth d.  That is what
+    lets a finished column keep only its staircase: a variant that follows
+    one of larger d in (value, d) order has a larger value and no smaller
+    |joint - tree|, so its price can never win or tie.  Along the staircase
+    d grows, so equal prices go to the smallest d without a tie clause."""
 
     def assert_nested(self, tree, demand, D):
         for seg in segment_views(demand, D):
@@ -429,6 +431,44 @@ def scanned_candidates(table, mode):
                 n += sum(var.value != INFEASIBLE
                          for var in table.columns[k - d].values())
     return n
+
+
+def staircase(column):
+    """Feasible (value, d) of a column in ascending order, keeping each
+    entry whose d is larger than every d before it."""
+    stair = []
+    for value, d in sorted((v.value, d) for d, v in column.items()
+                           if v.value != INFEASIBLE):
+        if not stair or d > stair[-1][1]:
+            stair.append((value, d))
+    return stair
+
+
+def staircase_candidates(table):
+    """Staircase entries an exact-mode walk may price: the length of column
+    k - d's staircase, for each anchor variant d with a desired view between
+    its anchors."""
+    return sum(len(staircase(table.columns[k - d]))
+               for k, col in table.columns.items() for d in col
+               if d >= 2 and any(v in table.desired for v in range(k - d + 1, k)))
+
+
+class TestStaircase:
+    def assert_bounded(self, tree, demand, D):
+        for seg in segment_views(demand, D):
+            _, _, table = solve_segment(tree, demand, seg, D, "exact")
+            assert table.prices <= staircase_candidates(table)
+
+    def test_random_trees(self, rng):
+        for _ in range(200):
+            tree, demand = random_tree_instance(rng)
+            for D in range(2, 8):
+                self.assert_bounded(tree, demand, D)
+
+    def test_wide_shaped_bundled_instance(self):
+        tree, demand = bundled_instance(DemandDistribution("uniform", 100),
+                                        2024, clients=753)
+        self.assert_bounded(tree, demand, 16)
 
 
 class TestSolveStats:
