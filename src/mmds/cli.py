@@ -231,6 +231,7 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
         # each worker receives the graph once; a task is a sample index,
         # handed out about four chunks per worker so uneven samples balance
         chunk = max(1, config.samples // (4 * workers))
+        graph.spt  # built here once, so that forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=((config, graph, candidates),)) as pool:
             per_sample = list(pool.map(_run_pooled_sample,

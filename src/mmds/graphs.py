@@ -9,6 +9,7 @@ synthesized from the two transmitted source views.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -333,10 +334,10 @@ def validate_selection(theta, demand: DemandMap, D: int,
                     issues.append(
                         f"view {v}: source {src} is itself synthesized as {theta[src]}")
     if not crossing_allowed:
-        sent = set(transmitted_views(theta))
+        sent = transmitted_views(theta)
         for v, (l, r) in sorted(theta.items()):
             if r > l:
-                inside = sorted(w for w in sent if l < w < r)
+                inside = list(sent[bisect_right(sent, l):bisect_left(sent, r)])
                 if inside:
                     issues.append(
                         f"view {v}: transmitted views {inside} lie strictly "

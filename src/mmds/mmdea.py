@@ -28,15 +28,17 @@ and shared read-only, so every price is a popcount: |A - B| is
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
 exact mode |joint - m_k|; all of it in the other modes) is worked out once
-per variant.  Each finished column keeps only its staircase: its feasible
-variants in (value, j) order, each with a larger j than every one before
-it.  A column's anchor trees nest as j grows, so a dropped variant has a
-strictly larger value and no smaller |joint - tree_j| than an earlier,
-kept one, and can never win or tie.  A j-free price takes the head of the
-staircase; exact mode walks it adding |joint| - |joint & tree_j| (|joint|
-counted once per anchor, so no complement is built) and stops at the
-first value that alone exceeds the best price so far.  Equal prices go to
-the smallest j.
+per variant.  A column is plain data, one (value, choice, joint) cell per
+variant; a variant's anchor tree, mask(k) | joint, is built only when it
+joins its column's staircase, the one place a tree is read.  The staircase
+holds the column's feasible variants in (value, j) order, each with a
+larger j than every one before it.  A column's anchor trees nest as j
+grows, so a dropped variant has a strictly larger value and no smaller
+|joint - tree_j| than an earlier, kept one, and can never win or tie.  A
+j-free price takes the head of the staircase; exact mode walks it adding
+|joint| - |joint & tree_j| (|joint| counted once per anchor, so no
+complement is built) and stops at the first value that alone exceeds the
+best price so far.  Equal prices go to the smallest j.
 """
 
 from __future__ import annotations
@@ -48,19 +50,15 @@ from .cost import (INFEASIBLE, SolveResult, SolverError, _check_mode, phi,
 from .graphs import DemandMap, Segment, ShortestPathTree
 
 
-@dataclass(slots=True)
-class Variant:
-    value: float
-    d: int
-    choice: tuple | None      # ("jump", column) or ("anchor", j)
-    anchor_tree: int          # mask of arcs carrying this column's view so far
-
-
 @dataclass
 class CostTable:
-    """DP lattice of one segment: columns[k][d] holds variant d at column k.
-    `cells` counts the variants filled and `prices` the exact-mode
-    popcounts against a staircase entry's tree."""
+    """DP lattice of one segment: columns[k][d] is cell (value, choice,
+    joint) of variant d at column k.  choice is the column jumped from for
+    d = 0, the variant of column k - d anchored on for d >= 2, and None at
+    the first column and in an infeasible cell; joint is the union of the
+    view trees strictly between the anchors (0 for d = 0), so the cell's
+    anchor tree is mask(k) | joint.  `cells` counts the cells filled and
+    `prices` the exact-mode popcounts against a staircase entry's tree."""
     segment: Segment
     desired: frozenset
     columns: dict = field(default_factory=dict)
@@ -68,10 +66,11 @@ class CostTable:
     prices: int = 0
 
     def minimum(self, k):
-        return min(v.value for v in self.columns[k].values())
+        return min(cell[0] for cell in self.columns[k].values())
 
     def best(self, k):
-        return min(self.columns[k].items(), key=lambda kv: (kv[1].value, kv[0]))
+        """(d, cell) of column k's cheapest variant, the smallest d on ties."""
+        return min(self.columns[k].items(), key=lambda kv: (kv[1][0], kv[0]))
 
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
@@ -82,32 +81,26 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
-    # ranked[k]: column k's staircase of (value, d, anchor_tree), ascending in
-    # value and d: built from the deepest d down, a variant joins when no
+    # ranked[k]: column k's staircase of (value, d, anchor tree), ascending in
+    # value and d: built from the deepest d down, a cell joins when no
     # deeper one is cheaper; d is unique per column, so ties go to the smaller d
     t = masks.get(m, 0)
-    table.columns[m] = {0: Variant(t.bit_count(), 0, None, t)}
+    table.columns[m] = {0: (t.bit_count(), None, 0)}
     ranked = {m: [(t.bit_count(), 0, t)]}
     cells, prices = 1, 0
     last = m  # nearest desired view below k
 
     for k in range(m + 1, M + 1):
-        col = {}
         mk = masks.get(k, 0)
         ck = mk.bit_count()
         # variant 0: v_k extends a shorter prefix without synthesizing
+        best_val, best_col = INFEASIBLE, None
         if k in desired:
-            best_val, best_col = INFEASIBLE, None
             for kp in range(k - 1, last - 1, -1):  # nearest predecessor wins ties
                 r = ranked[kp]
                 if r and r[0][0] < best_val:
                     best_val, best_col = r[0][0], kp
-            if best_col is None:
-                col[0] = Variant(INFEASIBLE, 0, None, mk)
-            else:
-                col[0] = Variant(best_val + ck, 0, ("jump", best_col), mk)
-        else:
-            col[0] = Variant(INFEASIBLE, 0, None, 0)
+        col = {0: (best_val + ck, best_col, 0)}
         # variants d >= 2: anchor pair (v_{k-d}, v_k) synthesizes E_d;
         # E_d and its path union grow by view a+1 as d grows
         between, joint = [], 0
@@ -118,7 +111,7 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 joint |= masks[a + 1]
             cands = ranked[a]
             if not cands or (not between and k not in desired):
-                col[d] = Variant(INFEASIBLE, d, None, 0)
+                col[d] = (INFEASIBLE, None, joint)
                 continue
             # a price that is the same for every predecessor variant j
             # goes to the head of the staircase; exact mode adds |joint - tree_j|
@@ -143,14 +136,15 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                     if c < bv:
                         bv, j = c, dj
                 price = bv + ck + nj - (joint & mk).bit_count()
-            col[d] = Variant(price, d, ("anchor", j), mk | joint)
+            col[d] = (price, j, joint)
         cells += len(col)
         table.columns[k] = col
+        # only a staircase cell's anchor tree is ever read
         stair, low = [], INFEASIBLE
-        for d, v in reversed(col.items()):
-            if v.value <= low and v.value != INFEASIBLE:
-                stair.append((v.value, d, v.anchor_tree))
-                low = v.value
+        for d, (value, _, joint) in reversed(col.items()):
+            if value <= low and value != INFEASIBLE:
+                stair.append((value, d, mk | joint))
+                low = value
         ranked[k] = stair[::-1]
         if k in desired:
             last = k
@@ -166,34 +160,28 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
 
 def backtrack(table: CostTable) -> dict:
     """Recover the optimal selection from the stored argmin choices."""
-    seg = table.segment
+    seg, desired = table.segment, table.desired
     theta = {}
     k = seg.hi
-    d, var = table.best(k)
-    while True:
-        if var.choice is None:
-            if k != seg.lo:
-                raise SolverError(f"dangling choice pointer at column {k}")
-            theta[seg.lo] = (seg.lo, seg.lo)
-            break
-        if var.d == 0:
-            if k in table.desired:
-                theta[k] = (k, k)
-            _, kp = var.choice
-            k = kp
-            d, var = table.best(k)
-        else:
-            a = k - var.d
-            if k in table.desired:
-                theta[k] = (k, k)
-            for v in range(a + 1, k):
-                if v in table.desired:
-                    theta[v] = (a, k)
-            _, j = var.choice
-            if j not in table.columns[a]:
-                raise SolverError(f"dangling variant pointer ({a}, {j})")
-            k, d = a, j
-            var = table.columns[a][j]
+    d, (_, choice, _) = table.best(k)
+    while choice is not None:
+        if k in desired:
+            theta[k] = (k, k)
+        if d == 0:
+            k = choice
+            d, (_, choice, _) = table.best(k)
+            continue
+        a = k - d
+        for v in range(a + 1, k):
+            if v in desired:
+                theta[v] = (a, k)
+        cell = table.columns[a].get(choice)
+        if cell is None:
+            raise SolverError(f"dangling variant pointer ({a}, {choice})")
+        k, d, choice = a, choice, cell[1]
+    if k != seg.lo:
+        raise SolverError(f"dangling choice pointer at column {k}")
+    theta[seg.lo] = (seg.lo, seg.lo)
     return theta
 
 

@@ -421,7 +421,8 @@ class TestSampleDraw:
 ROOT = Path(__file__).resolve().parent.parent
 # Each committed CSV is `mmds run` with runtime_ms cut; CI diffs the
 # installed command against it.  The first three were made at the parent of
-# the change that added each; emmdea_k12_d6.csv holds emmdea's smallest-
+# the change that added each, and the wide_* files at the parent of a rewrite
+# of mmdea's DP, one per phi mode; emmdea_k12_d6.csv holds emmdea's smallest-
 # chain tie rule, and its totals equal the unpruned sweep's.
 EXPECTED_RUNS = {
     "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
@@ -433,6 +434,10 @@ EXPECTED_RUNS = {
     "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,
                               solvers=("mmdea", "emmdea"), samples=2),
     "wide_k100_d16.csv": dict(views=100, d=16, clients=753, samples=2),
+    "wide_k100_d16_literal.csv": dict(views=100, d=16, clients=753,
+                                      phi="literal", samples=2),
+    "wide_k100_d16_per_view.csv": dict(views=100, d=16, clients=753,
+                                       phi="per_view", samples=2),
 }
 
 
@@ -451,6 +456,26 @@ def test_output_matches_committed_csv(monkeypatch, name):
 fork_only =pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="patched worker functions reach the pool only by fork")
+
+
+@fork_only
+def test_pooled_workers_inherit_the_graph_tree(monkeypatch):
+    real = cli._run_sample
+
+    def run_sample(config, graph, candidates, index):
+        inherited = "spt" in vars(graph)  # before this sample's build_spt
+        rows = real(config, graph, candidates, index)
+        for row in rows:
+            row.update(pid=os.getpid(), inherited=inherited)
+        return rows
+    monkeypatch.setattr(cli, "_run_sample", run_sample)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rows = [r for r in run_scenario(ScenarioConfig(topology=KDL_PATH,
+                                                   clients=20, samples=4))
+            if r["sample"] != "mean"]
+    assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
+    assert os.getpid() not in {r["pid"] for r in rows}
+    assert all(r["inherited"] for r in rows)
 
 
 @fork_only

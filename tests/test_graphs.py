@@ -342,3 +342,32 @@ class TestValidateSelection:
     def test_transmitted_views(self):
         theta = {2: (2, 2), 3: (2, 4), 4: (4, 4)}
         assert transmitted_views(theta) == (2, 4)
+
+    @given(st.dictionaries(st.integers(0, 8), st.integers(1, 14),
+                           min_size=1, max_size=8),
+           st.dictionaries(st.integers(1, 14),
+                           st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                           max_size=10),
+           st.integers(2, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_search_matches_scan(self, demand_dict, theta, d):
+        # a random selection, valid or not: the bisected search for
+        # transmitted views inside each interval reports what a scan does
+        demand = DemandMap(demand_dict, 14)
+        assert validate_selection(theta, demand, d) == \
+            scanned_validate_selection(theta, demand, d)
+
+
+def scanned_validate_selection(theta, demand, D):
+    """`validate_selection` as it stood when the crossing check scanned
+    every transmitted view per synthesized view; kept as a reference."""
+    issues = validate_selection(theta, demand, D, crossing_allowed=True)
+    sent = set(transmitted_views(theta))
+    for v, (l, r) in sorted(theta.items()):
+        if r > l:
+            inside = sorted(w for w in sent if l < w < r)
+            if inside:
+                issues.append(
+                    f"view {v}: transmitted views {inside} lie strictly "
+                    f"inside the synthesis interval ({l},{r})")
+    return issues

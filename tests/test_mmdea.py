@@ -10,7 +10,7 @@ from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
                   solve_general, solve_segment, two_view_fraction)
 from mmds.cost import PHI_MODES, SolverError, view_masks
 from mmds.instances import demo_instance
-from mmds.mmdea import Variant, backtrack
+from mmds.mmdea import backtrack
 
 from conftest import bundled_instance, random_tree_instance, small_instances
 
@@ -253,8 +253,9 @@ class TestBacktrack:
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
         _, _, table = solve_segment(tree, demand, seg, 4, "exact")
-        victim = table.best(8)[1]
-        table.columns[8 - victim.d].pop(victim.choice[1])
+        d, (_, j, _) = table.best(8)
+        assert d >= 2  # views 6 and 7 are synthesized from (4, 8)
+        table.columns[8 - d].pop(j)
         with pytest.raises(SolverError, match="dangling"):
             backtrack(table)
 
@@ -278,6 +279,8 @@ def _ref_phi(mode, masks, between_desired, joint, anchor_view, k_view,
 
 
 def reference_table(masks, seg, D, mode):
+    """(table, trees): the full-scan table and each feasible cell's anchor
+    tree, trees[k][d]."""
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     prev_desired = {}
@@ -287,11 +290,14 @@ def reference_table(masks, seg, D, mode):
         if k in desired:
             last = k
     table = CostTable(seg, desired)
+    trees = {}
     for k in range(m, M + 1):
         col = {}
+        trees[k] = tk = {}
         if k == m:
             t = masks.get(m, 0)
-            col[0] = Variant(t.bit_count(), 0, None, t)
+            col[0] = (t.bit_count(), None, 0)
+            tk[0] = t
             table.columns[k] = col
             continue
         if k in desired:
@@ -301,14 +307,13 @@ def reference_table(masks, seg, D, mode):
                 val = table.minimum(kp)
                 if val < best_val:
                     best_val, best_col = val, kp
-            tk = masks[k]
             if best_col is None:
-                col[0] = Variant(INFEASIBLE, 0, None, tk)
+                col[0] = (INFEASIBLE, None, 0)
             else:
-                col[0] = Variant(best_val + tk.bit_count(), 0,
-                                 ("jump", best_col), tk)
+                col[0] = (best_val + masks[k].bit_count(), best_col, 0)
+                tk[0] = masks[k]
         else:
-            col[0] = Variant(INFEASIBLE, 0, None, 0)
+            col[0] = (INFEASIBLE, None, 0)
         between, joint = [], 0
         ck = masks[k].bit_count() if k in desired else 0
         for d in range(2, min(D, k - m) + 1):
@@ -317,28 +322,29 @@ def reference_table(masks, seg, D, mode):
                 between.append(a + 1)
                 joint |= masks[a + 1]
             if not between and k not in desired:
-                col[d] = Variant(INFEASIBLE, d, None, 0)
+                col[d] = (INFEASIBLE, None, joint)
                 continue
             best = None
-            for j, var in sorted(table.columns[a].items()):
-                if var.value == INFEASIBLE:
+            for j, (value, _, _) in sorted(table.columns[a].items()):
+                if value == INFEASIBLE:
                     continue
-                cand = var.value + ck + _ref_phi(mode, masks, between, joint,
-                                                 a, k, var.anchor_tree)
+                cand = value + ck + _ref_phi(mode, masks, between, joint,
+                                             a, k, trees[a][j])
                 if best is None or cand < best[0]:
                     best = (cand, j)
             if best is None:
-                col[d] = Variant(INFEASIBLE, d, None, 0)
+                col[d] = (INFEASIBLE, None, joint)
             else:
-                new_tree = masks.get(k, 0) | joint
-                col[d] = Variant(best[0], d, ("anchor", best[1]), new_tree)
+                col[d] = (best[0], best[1], joint)
+                tk[d] = masks.get(k, 0) | joint
         table.columns[k] = col
-    return table
+    return table, trees
 
 
-def cells_of(table):
-    return {k: {d: (v.value, v.d, v.choice, v.anchor_tree)
-                for d, v in col.items()}
+def anchor_trees(table, masks):
+    """Each feasible cell's anchor tree, mask(k) | joint, as trees[k][d]."""
+    return {k: {d: masks.get(k, 0) | joint
+                for d, (value, _, joint) in col.items() if value != INFEASIBLE}
             for k, col in table.columns.items()}
 
 
@@ -347,9 +353,10 @@ class TestAgainstFullScanReference:
         masks = view_masks(tree, demand)
         total, theta = 0, {}
         for seg in segment_views(demand, D):
-            ref = reference_table(masks, seg, D, mode)
+            ref, trees = reference_table(masks, seg, D, mode)
             _, _, got = solve_segment(tree, demand, seg, D, mode)
-            assert cells_of(got) == cells_of(ref)
+            assert got.columns == ref.columns
+            assert anchor_trees(got, masks) == trees
             total += ref.minimum(seg.hi)
             theta.update(backtrack(ref))
         res = solve_general(tree, demand, D, mode)
@@ -385,11 +392,13 @@ class TestAnchorTreesNest:
     d grows, so equal prices go to the smallest d without a tie clause."""
 
     def assert_nested(self, tree, demand, D):
+        masks = view_masks(tree, demand)
         for seg in segment_views(demand, D):
             _, _, table = solve_segment(tree, demand, seg, D, "exact")
-            for col in table.columns.values():
-                trees = [v.anchor_tree for _, v in sorted(col.items())
-                         if v.value != INFEASIBLE]
+            for k, col in table.columns.items():
+                mk = masks.get(k, 0)
+                trees = [mk | joint for _, (value, _, joint) in sorted(col.items())
+                         if value != INFEASIBLE]
                 for i, small in enumerate(trees):
                     assert all(small & ~big == 0 for big in trees[i + 1:])
 
@@ -428,8 +437,8 @@ def scanned_candidates(table, mode):
     for k, col in table.columns.items():
         for d in col:
             if d >= 2 and any(v in table.desired for v in range(k - d + 1, k)):
-                n += sum(var.value != INFEASIBLE
-                         for var in table.columns[k - d].values())
+                n += sum(value != INFEASIBLE
+                         for value, _, _ in table.columns[k - d].values())
     return n
 
 
@@ -437,8 +446,8 @@ def staircase(column):
     """Feasible (value, d) of a column in ascending order, keeping each
     entry whose d is larger than every d before it."""
     stair = []
-    for value, d in sorted((v.value, d) for d, v in column.items()
-                           if v.value != INFEASIBLE):
+    for value, d in sorted((value, d) for d, (value, _, _) in column.items()
+                           if value != INFEASIBLE):
         if not stair or d > stair[-1][1]:
             stair.append((value, d))
     return stair
