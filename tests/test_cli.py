@@ -429,6 +429,14 @@ EXPECTED_RUNS = {
     "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
                               solvers=("omds", "mmdea", "emmdea", "hmmdea"),
                               samples=4),
+    "relaxed_zipf1_literal.csv": dict(views=24, d=4, clients=400,
+                                      dist="zipf:1", phi="literal",
+                                      solvers=("omds", "mmdea", "emmdea",
+                                               "hmmdea"), samples=4),
+    "relaxed_zipf1_per_view.csv": dict(views=24, d=4, clients=400,
+                                       dist="zipf:1", phi="per_view",
+                                       solvers=("omds", "mmdea", "emmdea",
+                                                "hmmdea"), samples=4),
     "headline_gaussian4.csv": dict(views=12, d=5, clients=400,
                                    dist="gaussian:4", samples=20),
     "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,

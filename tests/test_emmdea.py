@@ -1,16 +1,18 @@
+import csv
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
                   brute_force_emmds, segment_views, solve_extended,
-                  solve_general, validate_selection)
+                  solve_general, transmitted_views, validate_selection)
+from mmds import emmdea
 from mmds.cli import SOLVERS as SOLVER_NAMES
-from mmds.cli import run_solver
+from mmds.cli import main, run_solver
 from mmds.cost import view_masks, view_trees
-from mmds.emmdea import _suffix_bounds
+from mmds.emmdea import _promised_bound, _retire, _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
@@ -112,14 +114,14 @@ class TestSolveExtended:
             solve_extended(tree, demand, 3, "literal", state_cap=19)
         assert str(refused.value).startswith("19 states at column 13 "
                                              "(194 since column 1)")
-        # exact mode prunes against mmdea's optimum (24): at most 6 states
-        # a column are kept, 125 in all, so a cap of 12 (120 per segment)
-        # is again refused by the summed budget alone
-        assert solve_extended(tree, demand, 3, state_cap=13).total == K
+        # exact mode prunes against mmdea's optimum (24): one state a
+        # column is kept, 24 in all, so a cap of 2 (20 per segment) is
+        # again refused by the summed budget alone
+        assert solve_extended(tree, demand, 3, state_cap=3).total == K
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3, state_cap=12)
-        assert str(refused.value).startswith("5 states at column 22 "
-                                             "(123 since column 1)")
+            solve_extended(tree, demand, 3, state_cap=2)
+        assert str(refused.value).startswith("1 states at column 21 "
+                                             "(21 since column 1)")
 
 
 class TestBranchAndBound:
@@ -128,24 +130,44 @@ class TestBranchAndBound:
         for _ in range(40):
             tree, demand = random_tree_instance(rng, max_views=8)
             stats = solve_extended(tree, demand, 3, mode).stats
-            assert stats["pruned"] == 0
+            assert stats["pruned"] == stats["cut"] == 0
             assert stats["states"] >= stats["peak"] > 0
 
     def test_exact_mode_counts_its_work(self):
         tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024)
         exact = solve_extended(tree, demand, 5).stats
         literal = solve_extended(tree, demand, 5, "literal").stats
-        assert exact["pruned"] > 0
+        assert exact["pruned"] > 0 and exact["cut"] > 0
         assert exact["states"] < literal["states"]
 
     def test_k12_d6_on_every_client_keeps_few_states(self):
         # unpruned, this instance sweeps about 145,000 states; the bound
-        # keeps 571
+        # keeps 34
         tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024,
                                         clients=753)
         result = solve_extended(tree, demand, 6)
         assert result.total == 1920
-        assert result.stats["states"] < 1_000
+        assert result.stats["states"] <= 40
+
+    def test_an_unsound_bound_is_an_internal_error(self, monkeypatch,
+                                                   tmp_path):
+        # a bound above every optimum prunes every state of the segment
+        real = emmdea._suffix_bounds
+
+        def over_counted(masks, m, M, D):
+            h, pts = real(masks, m, M, D)
+            return {k: n + 1_000 for k, n in h.items()}, pts
+        monkeypatch.setattr(emmdea, "_suffix_bounds", over_counted)
+        out = tmp_path / "rows.csv"
+        code = main(["run", "--preset", "demo", "--d", "4", "--solver",
+                     "emmdea", "--out", str(out)])
+        assert code == 3
+        with open(out, newline="", encoding="utf-8") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["sample"] == "0")
+        assert row["status"] == "error"
+        assert row["error"].startswith("SolverError: every state of "
+                                       "segment 2..8 was pruned")
+        assert "unsound" in row["error"]
 
 
 @given(small_instances())
@@ -154,7 +176,7 @@ def test_the_suffix_bound_never_exceeds_a_segment_optimum(inst):
     tree, demand, D = inst
     masks = view_masks(tree, demand)
     for seg, value in solve_extended(tree, demand, D).per_segment:
-        h = _suffix_bounds(masks, seg.lo, seg.hi, D)
+        h, _ = _suffix_bounds(masks, seg.lo, seg.hi, D)
         assert h[seg.hi] == 0
         assert h[seg.lo - 1] <= value
 
@@ -287,6 +309,56 @@ class TestAgainstFrozensetReference:
         tree, demand = bundled_instance(DemandDistribution("uniform", 12),
                                         2024)
         self.assert_matches(tree, demand, 5, mode)
+
+
+def replayed_states(masks, theta, lo, hi):
+    """(k, value, promises) after each column k = lo..hi of a segment's
+    exact sweep that assembles `theta`, the segment's selection: each view
+    transmitted up to k priced for its users up to k, and each later right
+    source of a user up to k promised."""
+    users = {t: [p for p, pair in theta.items() if t in pair and p != t]
+             for t in transmitted_views(theta)}
+
+    def entry(t, k):
+        return (t, sum(1 << p for p in users[t] if p <= k))
+    for k in range(lo, hi + 1):
+        value = sum(_retire(masks, "exact", entry(t, k))
+                    for t in users if t <= k)
+        promises = tuple(entry(r, k) for r in sorted(users)
+                         if r > k and min(users[r], default=r) <= k)
+        yield k, value, promises
+
+
+def promise_trees_instance():
+    """An instance whose optimum passes a state promising a view whose
+    users' trees hold arcs that its own tree lacks: a bound that lets only
+    the own tree stab those arcs prices them twice, and exceeds the
+    optimum."""
+    terminals = [1, 2, 4, 5]
+    tree = ShortestPathTree(0, {1: 0, 2: 1, 4: 1, 5: 4}, terminals)
+    return tree, DemandMap({1: 1, 2: 4, 4: 3, 5: 2}, 4, terminals), 3
+
+
+@given(small_instances())
+@example(promise_trees_instance())
+@settings(max_examples=150, deadline=None)
+def test_no_bound_puts_an_optimal_state_above_the_optimum(inst):
+    # the sweep reaches each state along an optimal selection (here the
+    # unpruned reference's), so no bound may put one above the optimum
+    tree, demand, D = inst
+    masks = view_masks(tree, demand)
+    _, theta, per_segment = reference_extended(tree, demand, D, "exact")
+    for seg, optimum in per_segment:
+        h, pts = _suffix_bounds(masks, seg.lo, seg.hi, D)
+        theta_seg = {p: pair for p, pair in theta if p in seg.members}
+        for k, value, promises in replayed_states(masks, theta_seg, seg.lo,
+                                                  seg.hi):
+            priced = sum(_retire(masks, "exact", e) for e in promises)
+            assert value + max(priced, h[k]) <= optimum
+            if promises:
+                assert value + _promised_bound(masks, D, h, pts, k,
+                                               promises) <= optimum
+        assert (value, promises) == (optimum, ())
 
 
 SOLVERS = pytest.mark.parametrize("solve", [solve_general, solve_extended],
