@@ -2,9 +2,8 @@
 multi-view video, where a client's desired view may be synthesized from
 two transmitted neighbour views at most D indices apart."""
 
-from .cost import (INFEASIBLE, SolveResult, SolverError, direct_cost,
-                   edge_view_loads, evaluate_cost, expansion_cost,
-                   subscriber_tree, two_view_fraction, view_masks, view_trees)
+from .cost import (INFEASIBLE, SolveResult, SolverError, edge_view_loads,
+                   evaluate_cost, two_view_fraction, view_masks, view_trees)
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      build_spt, check_quality, identity_selection,

@@ -227,7 +227,7 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
         raise ValueError("scenario needs --topology, --gen or --preset")
     candidates = _client_candidates(graph)
     workers = min(os.cpu_count() or 1, config.samples)
-    if workers > 1 and config.samples > 1:
+    if workers > 1:
         # each worker receives the graph once; a task is a sample index,
         # handed out about four chunks per worker so uneven samples balance
         chunk = max(1, config.samples // (4 * workers))

@@ -1,6 +1,6 @@
-"""Bandwidth accounting: per-arc view loads, the direct multicast cost of a
-single view, and the expansion cost of extending two source views to the
-clients of the views synthesized between them.
+"""Bandwidth accounting on view bitmasks: each desired view's view tree,
+the closed-form synthesis price `phi`, a selection's cost and its per-arc
+view loads.
 
 Arc sets are int bitmasks over the tree's arc numbering, built from
 `ShortestPathTree.path_mask` and decoded by `tree.arcs_of` only where a
@@ -20,9 +20,7 @@ selection against `evaluate_cost`; a solver module holds only its search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import inf as INFEASIBLE  # noqa: N811  (absorbing sentinel)
-from operator import or_
 from types import MappingProxyType
 
 from .graphs import (DemandMap, ShortestPathTree, segment_views,
@@ -73,40 +71,10 @@ def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
     return {v: tree.arcs_of(m) for v, m in view_masks(tree, demand).items()}
 
 
-def _union(masks: dict, views) -> int:
-    return reduce(or_, (masks.get(v, 0) for v in views), 0)
-
-
 def phi(mid: int, left: int, right: int) -> int:
     """Closed-form synthesis cost on masks, |mid - left| + |mid - right|:
     the arcs of `mid` that each source's tree misses, counted per source."""
     return (mid & ~left).bit_count() + (mid & ~right).bit_count()
-
-
-def subscriber_tree(tree: ShortestPathTree, demand: DemandMap, views) -> frozenset:
-    """Union of root paths over terminals whose desired view is in `views`."""
-    return tree.arcs_of(_union(view_masks(tree, demand), views))
-
-
-def direct_cost(tree: ShortestPathTree, demand: DemandMap, view: int) -> int:
-    """Cost of multicasting `view` to exactly its subscribers (0 if none)."""
-    return view_masks(tree, demand).get(view, 0).bit_count()
-
-
-def expansion_cost(tree: ShortestPathTree, demand: DemandMap, between,
-                   left: int, right: int) -> int:
-    """Extra (arc, view) units to push `left` and `right` to the clients of
-    the desired views in `between`, beyond the sources' own subscriber
-    trees.  Zero when no view in `between` is desired.
-    """
-    between = set(between)
-    if not (left < right):
-        raise ValueError(f"sources must satisfy left < right, got ({left},{right})")
-    bad = [v for v in between if not (left < v < right)]
-    if bad:
-        raise ValueError(f"views {sorted(bad)} are not strictly between {left} and {right}")
-    masks = view_masks(tree, demand)
-    return phi(_union(masks, between), masks.get(left, 0), masks.get(right, 0))
 
 
 def _delivery_masks(masks: dict, theta) -> dict:

@@ -186,17 +186,6 @@ class ShortestPathTree:
     def arcs(self) -> frozenset:
         return frozenset(self.arc_list)
 
-    @cached_property
-    def depth(self) -> dict:
-        """Each terminal's hop count from the root, in terminal order."""
-        return {t: self.path_mask[t].bit_count() for t in self._order}
-
-    @cached_property
-    def path_arcs(self) -> dict:
-        """Each terminal's root path as a frozenset of arcs, in terminal
-        order."""
-        return {t: self.arcs_of(self.path_mask[t]) for t in self._order}
-
     def __eq__(self, other):
         return (isinstance(other, ShortestPathTree)
                 and self.root == other.root

@@ -19,7 +19,8 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .cost import SolveResult, SolverError, cost_of_parts, solve_by_segment
+from .cost import (SolveResult, SolverError, cost_of_parts, phi,
+                   solve_by_segment)
 from .graphs import DemandMap, Segment, ShortestPathTree
 
 
@@ -47,8 +48,7 @@ def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
             # w is no source, so only its own subscribers receive it and
             # moving them to (left, right) touches just these three trees
             tw = delivery[w]
-            gain = (tw.bit_count() - (tw & ~delivery[left]).bit_count()
-                    - (tw & ~delivery[right]).bit_count())
+            gain = tw.bit_count() - phi(tw, delivery[left], delivery[right])
             if gain > 0 and (best is None or (-gain, w, right - left) < best):
                 best, pair = (-gain, w, right - left), (left, right)
         if best is None:

@@ -338,12 +338,17 @@ def sample_demand(dist: DemandDistribution, terminals, seed=0) -> DemandMap:
 
 
 def read_demand(path, universe_size=None) -> DemandMap:
-    pairs = {}
+    pairs, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, terminal, view in _two_columns(fh, "'terminal view'"):
             if not is_integer(view):
                 raise ValueError(f"line {ln}: view {view!r} is not an integer")
-            pairs[_node_id(terminal)] = int(view)
+            node = _node_id(terminal)
+            if node in seen:
+                raise ValueError(f"line {ln}: terminal {node!r} already given "
+                                 f"on line {seen[node]}")
+            seen[node] = ln
+            pairs[node] = int(view)
     if not pairs:
         raise ValueError("demand file is empty")
     if universe_size is None:

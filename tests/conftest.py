@@ -60,6 +60,43 @@ def small_instances(draw):
     return tree, demand, draw(st.integers(2, 5))
 
 
+@st.composite
+def promise_tree_instances(draw):
+    """Hypothesis strategy: a tree and demand where views l < p < q < r lie
+    within one D, so that r can be the right source of p and q, while the
+    users' trees hold arcs that r's own tree lacks.  A trunk leaves the
+    root; branch P hangs off it with p's client at its end and q's above,
+    branch R with r's client at its end, and l's client sits on the trunk.
+    A few more clients hang anywhere with any view."""
+    trunk = draw(st.integers(1, 3))
+    parents = {i: i - 1 for i in range(1, trunk + 1)}
+
+    def branch(length):
+        at = draw(st.integers(0, trunk))
+        nodes = range(len(parents) + 1, len(parents) + 1 + length)
+        for node in nodes:
+            parents[node] = at
+            at = node
+        return list(nodes)
+    p_branch = branch(draw(st.integers(2, 4)))
+    r_branch = branch(draw(st.integers(1, 3)))
+    D = draw(st.integers(3, 5))
+    l = draw(st.integers(1, 2))
+    r = l + draw(st.integers(3, D))
+    p, q = sorted(draw(st.lists(st.integers(l + 1, r - 1), min_size=2,
+                                max_size=2, unique=True)))
+    demand = {draw(st.integers(1, trunk)): l, p_branch[-1]: p,
+              draw(st.sampled_from(p_branch[:-1])): q, r_branch[-1]: r}
+    K = r + draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        node = len(parents) + 1
+        parents[node] = draw(st.integers(0, node - 1))
+        demand[node] = draw(st.integers(1, K))
+    terms = draw(st.permutations(list(demand)))
+    tree = ShortestPathTree(0, parents, terms)
+    return tree, DemandMap(demand, K, tree.terminals), D
+
+
 def bfs_distances(adjacency, source):
     """Plain breadth-first distances, independent of build_spt."""
     dist = {source: 0}

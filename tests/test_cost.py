@@ -9,12 +9,11 @@ from types import MappingProxyType
 import pytest
 
 from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
-                  direct_cost, edge_view_loads, evaluate_cost, expansion_cost,
-                  identity_selection, parse_topology, sample_demand,
-                  solve_general, subscriber_tree, view_trees)
-from mmds import cli, cost, mmdea
+                  edge_view_loads, evaluate_cost, identity_selection,
+                  parse_topology, sample_demand, solve_general, view_trees)
+from mmds import cli, cost, hmmdea, mmdea
 from mmds.cli import ScenarioConfig
-from mmds.cost import cost_of_parts, view_masks
+from mmds.cost import cost_of_parts, phi, view_masks
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
@@ -60,7 +59,8 @@ class TestEvaluateCost:
         for _ in range(30):
             tree, demand = random_tree_instance(rng)
             total = evaluate_cost(tree, demand, identity_selection(demand))
-            assert total == sum(direct_cost(tree, demand, v)
+            masks = view_masks(tree, demand)
+            assert total == sum(masks[v].bit_count()
                                 for v in demand.desired_views)
 
     def test_relabeling_invariance(self, rng):
@@ -78,62 +78,73 @@ class TestEvaluateCost:
             evaluate_cost(tree2, demand2, theta)
 
 
+def union_mask(tree, demand, views):
+    """The union of the view trees of `views`, as a mask."""
+    masks = view_masks(tree, demand)
+    union = 0
+    for v in views:
+        union |= masks.get(v, 0)
+    return union
+
+
 class TestSubscriberTree:
     def test_no_subscribers_empty(self):
         tree, demand = star_instance()
-        assert subscriber_tree(tree, demand, {9}) == frozenset()
+        assert union_mask(tree, demand, {9}) == 0
+        assert 9 not in view_trees(tree, demand)
 
     def test_single_terminal_path(self):
         tree = ShortestPathTree(0, {1: 0, 2: 1, 3: 2}, [3])
         demand = DemandMap({3: 1}, 1)
-        assert len(subscriber_tree(tree, demand, {1})) == 3
+        assert union_mask(tree, demand, {1}).bit_count() == 3
 
     def test_shared_prefix_union(self):
         # two terminals share a 2-arc prefix; depths 3 and 4
         tree = ShortestPathTree(0, {1: 0, 2: 1, 3: 2, 4: 2, 5: 4}, [3, 5])
         demand = DemandMap({3: 1, 5: 2}, 2)
-        assert len(subscriber_tree(tree, demand, {1, 2})) == 5
+        assert union_mask(tree, demand, {1, 2}).bit_count() == 5
 
 
 class TestDirectCost:
     def test_demo_view2(self):
         tree, demand = demo_instance()
-        assert direct_cost(tree, demand, 2) == 7
+        assert view_masks(tree, demand)[2].bit_count() == 7
 
     def test_demo_view4(self):
         tree, demand = demo_instance()
-        assert direct_cost(tree, demand, 4) == 7
+        assert cost_of_parts(view_masks(tree, demand), {4: (4, 4)}) == 7
 
     def test_unsubscribed_view_costs_nothing(self):
         tree, demand = demo_instance()
-        assert direct_cost(tree, demand, 5) == 0
+        masks = view_masks(tree, demand)
+        assert 5 not in masks and cost_of_parts(masks, {5: (5, 5)}) == 0
+
+
+def expansion(tree, demand, between, left, right):
+    """phi of the view trees of `between` against the two sources' own."""
+    masks = view_masks(tree, demand)
+    return phi(union_mask(tree, demand, between), masks.get(left, 0),
+               masks.get(right, 0))
 
 
 class TestExpansionCost:
     def test_demo_middle_view(self):
         tree, demand = demo_instance()
-        assert expansion_cost(tree, demand, {3}, 2, 4) == 3
+        assert expansion(tree, demand, {3}, 2, 4) == 3
 
     def test_demo_joint_pair(self):
         tree, demand = demo_instance()
-        assert expansion_cost(tree, demand, {3, 4}, 2, 5) == 12
+        assert expansion(tree, demand, {3, 4}, 2, 5) == 12
 
     def test_covered_clients_cost_nothing(self):
         # the middle client's path lies inside both source trees
         tree = ShortestPathTree(0, {1: 0, 2: 1, 3: 2, 4: 3}, [2, 3, 4])
         demand = DemandMap({2: 2, 3: 1, 4: 3}, 3)
-        assert expansion_cost(tree, demand, {2}, 1, 3) == 0
+        assert expansion(tree, demand, {2}, 1, 3) == 0
 
     def test_empty_or_undesired_middle_is_free(self):
         tree, demand = demo_instance()
-        assert expansion_cost(tree, demand, {5}, 4, 6) == 0
-
-    def test_precondition_errors(self):
-        tree, demand = demo_instance()
-        with pytest.raises(ValueError, match="left < right"):
-            expansion_cost(tree, demand, {3}, 4, 4)
-        with pytest.raises(ValueError, match="between"):
-            expansion_cost(tree, demand, {7}, 2, 4)
+        assert expansion(tree, demand, {5}, 4, 6) == 0
 
     def test_monotone_in_middle_set(self, rng):
         for _ in range(40):
@@ -145,10 +156,10 @@ class TestExpansionCost:
             small = set(rng.sample(inner, len(inner) // 2))
             if not small:
                 continue
-            phi_small = expansion_cost(tree, demand, small, left, right)
-            phi_all = expansion_cost(tree, demand, set(inner), left, right)
+            phi_small = expansion(tree, demand, small, left, right)
+            phi_all = expansion(tree, demand, inner, left, right)
             assert phi_small <= phi_all
-            per_view = sum(expansion_cost(tree, demand, {v}, left, right)
+            per_view = sum(expansion(tree, demand, {v}, left, right)
                            for v in inner)
             assert phi_all <= per_view
 
@@ -225,10 +236,9 @@ class TestPathMasksAgainstReference:
     def assert_matches_reference(tree, demand, D):
         paths = reference_paths(tree)
         assert tree.arcs == frozenset().union(*paths.values())
-        assert tree.depth == {t: len(p) for t, p in paths.items()}
         for t, path in paths.items():
+            assert tree.path_mask[t].bit_count() == len(path)
             assert tree.arcs_of(tree.path_mask[t]) == path
-        assert tree.path_arcs == paths
 
         trees = {}
         for t, v in demand.demand.items():
@@ -299,10 +309,10 @@ class TestOneCostLayer:
         monkeypatch.setattr(cost, "view_masks",
                             lambda *args: calls.append(1) or real(*args))
         tree, demand = demo_instance()
-        assert len(subscriber_tree(tree, demand, {2, 4})) == 9 \
-            and len(calls) == 1
-        assert direct_cost(tree, demand, 2) == 7 and len(calls) == 2
-        assert expansion_cost(tree, demand, {3, 4}, 2, 5) == 12 \
+        assert len(view_trees(tree, demand)[2]) == 7 and len(calls) == 1
+        assert evaluate_cost(tree, demand, THETA_STAR) == 32 \
+            and len(calls) == 2
+        assert len(edge_view_loads(tree, demand, THETA_STAR)) == 14 \
             and len(calls) == 3
 
     @pytest.mark.parametrize("views, d, dist, solvers", [
@@ -326,7 +336,7 @@ class TestOneCostLayer:
         masks = view_masks(tree, demand)
         with pytest.raises(TypeError):
             masks[2] = 0
-        assert masks[2].bit_count() == direct_cost(tree, demand, 2) == 7
+        assert masks[2].bit_count() == len(view_trees(tree, demand)[2]) == 7
 
     def test_another_tree_or_demand_gets_a_fresh_build(self):
         tree, demand = demo_instance()
@@ -346,3 +356,11 @@ class TestOneCostLayer:
         tree, demand = demo_instance()
         solve_general(tree, demand, 4, mode)
         assert bool(calls) == (mode != "exact")
+
+    def test_hmmdea_gain_calls_phi(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hmmdea, "phi",
+                            lambda *args: calls.append(1) or cost.phi(*args))
+        tree, demand = demo_instance()
+        assert hmmdea.h_solve(tree, demand, 4).round_costs == [45, 41, 38]
+        assert calls

@@ -16,7 +16,8 @@ from mmds.emmdea import _promised_bound, _retire, _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
-from conftest import bundled_instance, random_tree_instance, small_instances
+from conftest import (bundled_instance, promise_tree_instances,
+                      random_tree_instance, small_instances)
 
 
 def crossing_pays_instance():
@@ -339,7 +340,7 @@ def promise_trees_instance():
     return tree, DemandMap({1: 1, 2: 4, 4: 3, 5: 2}, 4, terminals), 3
 
 
-@given(small_instances())
+@given(st.one_of(small_instances(), promise_tree_instances()))
 @example(promise_trees_instance())
 @settings(max_examples=150, deadline=None)
 def test_no_bound_puts_an_optimal_state_above_the_optimum(inst):

@@ -48,7 +48,7 @@ class TestBuildSpt:
         g = NetworkGraph(["s", "a", "b", "c"],
                          [("s", "a"), ("a", "b"), ("b", "c"), ("c", "s")], "s")
         t = build_spt(g, ["b"])
-        assert t.depth["b"] == 2
+        assert t.path_mask["b"].bit_count() == 2
         assert ("a", "b") in t.arcs and ("c", "b") not in t.arcs
 
     def test_paths_match_independent_bfs(self, rng):
@@ -67,7 +67,7 @@ class TestBuildSpt:
             t = build_spt(g, terms)
             dist = bfs_distances({x: g.neighbors(x) for x in g.nodes}, 0)
             for term in terms:
-                assert t.depth[term] == dist[term]
+                assert t.path_mask[term].bit_count() == dist[term]
 
     def test_bundled_topology_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -76,7 +76,8 @@ class TestBuildSpt:
         t = build_spt(g, terms)
         ref = nx.Graph(tuple(e) for e in g.edges)
         want = nx.single_source_shortest_path_length(ref, g.server)
-        assert t.depth == {n: want[n] for n in terms}
+        assert {n: t.path_mask[n].bit_count() for n in terms} == \
+            {n: want[n] for n in terms}
         assert set(t.parents) == set(terms)
         for n, p in t.parents.items():
             assert p == min(m for m in ref[n] if want[m] == want[n] - 1)
@@ -144,9 +145,10 @@ class TestBuildSptAgainstConstructor:
         got = build_spt(graph, terms)
         want = ShortestPathTree(graph.server, graph.spt_parents, terms)
         assert got.arcs == want.arcs
-        assert list(got.depth.items()) == list(want.depth.items())
         assert got.terminals == want.terminals
-        assert list(got.path_arcs.items()) == list(want.path_arcs.items())
+        for t in terms:
+            assert got.arcs_of(got.path_mask[t]) == \
+                want.arcs_of(want.path_mask[t])
         assert view_trees(got, demand) == view_trees(want, demand)
         thetas = [identity_selection(demand)]
         for name in solvers:
@@ -205,7 +207,7 @@ tree, demand = demo_instance()
 result = h_solve(tree, demand, 4)
 print(tree.arc_list)
 print(list(edge_view_loads(tree, demand, result.theta)))
-print(list(tree.path_arcs))
+print([(t, sorted(tree.arcs_of(tree.path_mask[t]))) for t in tree.path_mask])
 """
 
 
@@ -213,7 +215,8 @@ class TestShortestPathTree:
     def test_arcs_numbered_in_terminal_order(self):
         t = ShortestPathTree(0, {1: 0, 2: 0, 3: 1}, [2, 3, 2, 1])
         assert t.arc_list == [(0, 2), (0, 1), (1, 3)]
-        assert list(t.depth) == [2, 3, 1]
+        assert t.terminals == {1, 2, 3}
+        assert [t.path_mask[n].bit_count() for n in (2, 3, 1)] == [1, 2, 1]
 
     def test_arc_numbering_does_not_follow_string_hashing(self):
         src = str(Path(mmds.__file__).resolve().parent.parent)
@@ -233,8 +236,8 @@ class TestShortestPathTree:
 
     def test_internal_terminals_are_fine(self):
         t = ShortestPathTree(0, {1: 0, 2: 1}, [1, 2])
-        assert t.path_arcs[1] == {(0, 1)}
-        assert t.path_arcs[2] == {(0, 1), (1, 2)}
+        assert t.arcs_of(t.path_mask[1]) == {(0, 1)}
+        assert t.arcs_of(t.path_mask[2]) == {(0, 1), (1, 2)}
 
 
 class TestDemandMap:

@@ -116,7 +116,7 @@ class TestHSolve:
             res = h_solve(tree, demand, D)
             want = {}
             for t, v in demand.demand.items():
-                for arc in tree.path_arcs[t]:
+                for arc in tree.arcs_of(tree.path_mask[t]):
                     want.setdefault(arc, set()).update(res.theta[v])
             # an arc that carries nothing, such as (0, 2), has no entry
             loads = edge_view_loads(tree, demand, res.theta)

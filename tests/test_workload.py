@@ -19,6 +19,7 @@ from mmds import (DemandDistribution, DemandMap, NetworkGraph,
                   generate_topology, parse_topology, read_demand,
                   sample_demand, write_demand, write_edges, write_gml,
                   zipf_pmf, zipf_rank_to_view)
+from mmds.cli import main
 from mmds.workload import _node_id, _one_id_kind, _parse_gml, _token_lines
 
 KDL = files("mmds.data") / "kdl_754_895.gml"
@@ -609,6 +610,24 @@ class TestDemandFiles:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError, match="empty"):
             read_demand(path)
+
+    # one spelling twice, and two spellings of one integer id; the server
+    # and the other terminal are of the terminal's kind
+    @pytest.mark.parametrize("server, other, first, again, name", [
+        ("s", "u2", "u1", "u1", "'u1'"), ("0", "2", "1", "01", "1")])
+    def test_a_repeated_terminal_is_refused(self, tmp_path, capsys, server,
+                                            other, first, again, name):
+        path = tmp_path / "d.txt"
+        path.write_text(f"{first} 2\n{other} 3\n{again} 7\n")
+        message = f"line 3: terminal {name} already given on line 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_demand(path)
+        topo = tmp_path / "t.edges"
+        topo.write_text(f"{server} {other}\n{server} {first}\n")
+        code = main(["solve", "--topology", str(topo), "--format", "edges",
+                     "--demand", str(path), "--d", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_comment_only_and_trailing_comment_lines(self, tmp_path):
         path = tmp_path / "d.txt"
