@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # loaded here, before a pool forks, so no worker pays the import
@@ -33,8 +33,8 @@ from .workload import (DemandDistribution, generate_topology, is_integer,
                        parse_topology, read_demand, sample_demand)
 
 # name -> call(tree, demand, D, phi); `run_solver`, the `solve --solver`
-# choices and the `run --solver` check read it.  Each call looks its solver
-# up when it runs, so a replaced module attribute takes effect.
+# choices and `run_scenario`'s solver check read it.  Each call looks its
+# solver up when it runs, so a replaced module attribute takes effect.
 SOLVERS = {
     "omds": lambda tree, demand, D, phi: omds(tree, demand),
     "mmdea": lambda tree, demand, D, phi: solve_general(tree, demand, D, phi),
@@ -134,42 +134,36 @@ def _client_candidates(graph):
 
 
 def _run_sample(config, graph, candidates, index):
-    """Rows of sample `index`; `candidates` is `_client_candidates(graph)`."""
-    if config.clients < 1:
-        raise ValueError("no desired views")
+    """Rows of sample `index`; `candidates` is `_client_candidates(graph)`
+    and `config` has passed `run_scenario`'s checks."""
     ss = SeedSequence(config.seed, spawn_key=(index,))
     rng = default_rng(ss)
-    if config.clients > len(candidates):
-        raise ValueError(f"cannot place {config.clients} clients on "
-                         f"{len(candidates)} non-server nodes")
     picks = rng.choice(len(candidates), size=config.clients, replace=False)
     terminals = [candidates[i] for i in np.sort(picks).tolist()]
     demand = sample_demand(parse_dist(config.dist, config.views), terminals, rng)
     tree = build_spt(graph, terminals)
+    return _sample_rows(config, index, int(ss.generate_state(1)[0]), tree, demand)
+
+
+def _sample_rows(config, index, sample_seed, tree, demand):
+    """One row per solver of `config` for sample `index` on `tree`."""
     base = _echo(config)
-    base.update({"sample": index, "sample_seed": int(ss.generate_state(1)[0])})
+    base.update({"sample": index, "sample_seed": sample_seed})
     return [_solver_row(base, s, tree, demand, config.d, config.phi)
             for s in config.solvers]
 
 
-# A pool worker's (config, graph, candidates), set once by _init_worker,
-# or the exception that stopped it.
+# A pool worker's (config, graph, candidates), set once by _init_worker;
+# arguments that fail to unpickle break the pool before the initializer runs.
 _worker = {}
 
 
 def _init_worker(args):
-    # an initializer that raises makes every worker print a traceback, so
-    # the failure is kept and reported by the worker's first task instead
-    try:
-        _worker.update(args=args)
-    except Exception as exc:
-        _worker["error"] = exc
+    _worker["args"] = args
 
 
 def _run_pooled_sample(index):
     """Rows of sample `index` in a pool worker."""
-    if "error" in _worker:
-        raise BrokenProcessPool(f"worker initializer failed: {_worker['error']!r}")
     return _run_sample(*_worker["args"], index)
 
 
@@ -200,24 +194,32 @@ def _solver_row(base, solver, tree, demand, D, phi):
 
 def run_scenario(config: ScenarioConfig) -> list[dict]:
     """Run all samples of a scenario; one row per (sample, solver) plus a
-    mean row per solver, in sample order.  A bad D, a negative sample count
-    or a negative seed raises before anything is parsed or run."""
+    mean row per solver, in sample order.  Every check but the client count
+    against the topology's nodes raises before anything is parsed or run."""
     check_quality(config.d)
     if config.samples < 0:
         raise ValueError(f"sample count must be >= 0, got {config.samples}")
     if config.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {config.seed}")
-    if config.preset == "demo":
-        # the demo's demand is fixed, but a bad --dist fails as on a topology
-        parse_dist(config.dist, DEMO_VIEW_COUNT)
+    if not config.solvers:
+        raise ValueError("no solver given")
+    for i, s in enumerate(config.solvers):
+        if s not in SOLVERS:
+            raise ValueError(f"unknown solver {s!r}")
+        if s in config.solvers[:i]:
+            raise ValueError(f"solver {s!r} given twice")
+    demo = config.preset == "demo"
+    # the demo's demand is fixed, but a bad --dist fails as on a topology
+    parse_dist(config.dist, DEMO_VIEW_COUNT if demo else config.views)
+    if config.clients < 1 and not demo:  # the demo places its own clients
+        raise ValueError("no desired views")
+    if demo:
         tree, demand = demo_instance()
-        base = _echo(config)
-        base.update({"views": DEMO_VIEW_COUNT, "clients": len(demand),
-                     "dist": "fixed", "samples": 1, "sample": 0,
-                     "sample_seed": sample_seed_of(config.seed, 0)})
-        rows = [_solver_row(base, s, tree, demand, config.d, config.phi)
-                for s in config.solvers]
-        return rows + _mean_rows(rows, base)
+        config = replace(config, views=DEMO_VIEW_COUNT, clients=len(demand),
+                         dist="fixed", samples=1)
+        rows = _sample_rows(config, 0, sample_seed_of(config.seed, 0),
+                            tree, demand)
+        return rows + _mean_rows(rows, _echo(config))
     if config.gen:
         graph = generate_topology(config.gen[0], config.gen[1], seed=config.seed)
     elif config.topology:
@@ -226,6 +228,9 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
     else:
         raise ValueError("scenario needs --topology, --gen or --preset")
     candidates = _client_candidates(graph)
+    if config.clients > len(candidates):
+        raise ValueError(f"cannot place {config.clients} clients on "
+                         f"{len(candidates)} non-server nodes")
     workers = min(os.cpu_count() or 1, config.samples)
     if workers > 1:
         # each worker receives the graph once; a task is a sample index,
@@ -295,9 +300,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_run(args) -> int:
     solvers = tuple(s.strip() for s in args.solver.split(",") if s.strip())
-    for s in solvers:
-        if s not in SOLVERS:
-            raise ValueError(f"unknown solver {s!r}")
     gen = None
     if args.gen:
         try:

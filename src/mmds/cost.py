@@ -99,14 +99,9 @@ def edge_view_loads(tree: ShortestPathTree, demand: DemandMap, theta) -> dict:
     return {a: frozenset(loads[a]) for a in tree.arc_list if a in loads}
 
 
-def evaluate_cost(tree: ShortestPathTree, demand: DemandMap, theta,
-                  D: int | None = None) -> int:
-    """Total bandwidth of a view selection: sum over arcs of the number of
-    distinct views carried.  Validates theta first when D is given."""
-    if D is not None:
-        issues = validate_selection(theta, demand, D)
-        if issues:
-            raise ValueError("invalid view selection: " + "; ".join(issues))
+def evaluate_cost(tree: ShortestPathTree, demand: DemandMap, theta) -> int:
+    """Total bandwidth of a view selection, which it does not validate: the
+    sum over arcs of the number of distinct views carried."""
     return cost_of_parts(view_masks(tree, demand), theta)
 
 

@@ -100,9 +100,6 @@ class NetworkGraph:
                 and self.edges == other.edges
                 and self.server == other.server)
 
-    def __hash__(self):
-        return hash((self.nodes, self.edges, self.server))
-
 
 class ShortestPathTree:
     """Rooted directed tree spanning the root and a set of terminal nodes.
@@ -125,14 +122,14 @@ class ShortestPathTree:
     def __init__(self, root, parents, terminals):
         self.root = root
         self.parents = dict(parents)
-        self._order = tuple(dict.fromkeys(terminals))
-        self.terminals = frozenset(self._order)
+        order = tuple(dict.fromkeys(terminals))
+        self.terminals = frozenset(order)
         if root in self.parents:
             raise ValueError("root must not have a parent")
         parents = self.parents
         numbering = []
         path_mask = {root: 0}
-        for t in self._order:
+        for t in order:
             climb = []
             n = t
             while n not in path_mask:
@@ -159,8 +156,7 @@ class ShortestPathTree:
         cut.root, cut.parents = self.root, self.parents
         path_mask = self.path_mask
         cut.path_mask = {t: path_mask[t] for t in terminals}  # repeats dropped
-        cut._order = tuple(cut.path_mask)
-        cut.terminals = frozenset(cut._order)
+        cut.terminals = frozenset(cut.path_mask)
         cut._numbering = self._numbering
         return cut
 
@@ -178,22 +174,13 @@ class ShortestPathTree:
     def arc_list(self) -> list:
         """The tree's arcs in bit order."""
         union = 0
-        for t in self._order:
+        for t in self.terminals:  # an OR has no order
             union |= self.path_mask[t]
         return list(self._decode(union))
 
     @cached_property
     def arcs(self) -> frozenset:
         return frozenset(self.arc_list)
-
-    def __eq__(self, other):
-        return (isinstance(other, ShortestPathTree)
-                and self.root == other.root
-                and self.arcs == other.arcs
-                and self.terminals == other.terminals)
-
-    def __hash__(self):
-        return hash((self.root, self.arcs, self.terminals))
 
 
 def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:

@@ -21,7 +21,8 @@ import pytest
 from mmds import (DemandMap, ShortestPathTree, brute_force_emmds,
                   brute_force_mmds, evaluate_cost, h_solve, omds,
                   parse_topology, segment_views, solve_d2, solve_d3,
-                  solve_extended, solve_general, solve_segment)
+                  solve_extended, solve_general, solve_segment,
+                  validate_selection)
 from mmds.cli import ScenarioConfig, run_scenario
 from mmds.instances import demo_instance
 from mmds.oracle import OracleGuardError
@@ -151,7 +152,8 @@ def test_criterion_3_specialization_agreement():
                 assert split_total == full.total
                 if mode == "exact":
                     # argmins may differ; both must price identically
-                    assert evaluate_cost(tree, demand, theta, D) == full.total
+                    assert validate_selection(theta, demand, D) == []
+                    assert evaluate_cost(tree, demand, theta) == full.total
     print("CRITERION 3 PASS - two- and three-view recurrences match the "
           "general solver on 500 instances each (both pricing modes)")
 

@@ -333,6 +333,52 @@ class TestRunCommand:
         assert code == 1 and out == ""
         assert err == "error: --seed must be >= 0, got -3\n"
 
+    @pytest.fixture
+    def topology_calls(self, monkeypatch):
+        """The calls to the topology readers, which read nothing."""
+        calls = []
+        for name in ("parse_topology", "generate_topology"):
+            monkeypatch.setattr(cli, name,
+                                lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("source", [("--preset", "demo"),
+                                        ("--gen", "30,40"),
+                                        ("--topology", KDL_PATH)])
+    @pytest.mark.parametrize("args, message", [
+        (("--solver", ","), "no solver given"),
+        (("--solver", "omds,omds"), "solver 'omds' given twice"),
+        (("--solver", "omds, mmdea ,omds"), "solver 'omds' given twice"),
+        (("--solver", "omds,magic"), "unknown solver 'magic'")])
+    def test_solver_list_checked_before_the_topology(self, capsys,
+                                                     topology_calls, source,
+                                                     args, message):
+        code, out, err = run_cli(capsys, "run", *source, "--d", "4", *args)
+        assert topology_calls == []
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+    def test_library_caller_gets_the_solver_check(self, topology_calls):
+        config = ScenarioConfig(gen=(30, 40), solvers=("bogus",))
+        with pytest.raises(ValueError) as raised:
+            run_scenario(config)
+        assert str(raised.value) == "unknown solver 'bogus'"
+        assert topology_calls == []
+
+    @pytest.mark.parametrize("source", [("--gen", "30,40"),
+                                        ("--topology", KDL_PATH)])
+    def test_zero_clients_abort_without_samples(self, capsys, topology_calls,
+                                                source):
+        code, out, err = run_cli(capsys, "run", *source, "--clients", "0",
+                                 "--samples", "0")
+        assert topology_calls == []
+        assert code == 1 and out == "" and err == "error: no desired views\n"
+
+    def test_too_many_clients_abort_without_samples(self):
+        config = ScenarioConfig(gen=(30, 40), clients=30, samples=0)
+        with pytest.raises(ValueError, match=r"^cannot place 30 clients on "
+                                             r"29 non-server nodes$"):
+            run_scenario(config)
+
 
 def strip_runtimes(rows):
     return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
@@ -517,17 +563,6 @@ class TestDeadPoolWorker:
         code, out, err = self.run_pooled(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
-        assert "Traceback" not in err
-
-    def test_initializer_raising(self, monkeypatch, capfd):
-        class Unwritable(dict):
-            def update(self, *args, **kwargs):
-                raise RuntimeError("graph did not arrive")
-        monkeypatch.setattr(cli, "_worker", Unwritable())
-        code, out, err = self.run_pooled(monkeypatch, capfd)
-        assert code == 3 and out == ""
-        assert err.startswith("error: worker pool failed: worker initializer "
-                              "failed: RuntimeError('graph did not arrive')")
         assert "Traceback" not in err
 
 

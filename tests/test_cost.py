@@ -10,7 +10,8 @@ import pytest
 
 from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
                   edge_view_loads, evaluate_cost, identity_selection,
-                  parse_topology, sample_demand, solve_general, view_trees)
+                  parse_topology, sample_demand, solve_general,
+                  validate_selection, view_trees)
 from mmds import cli, cost, hmmdea, mmdea
 from mmds.cli import ScenarioConfig
 from mmds.cost import cost_of_parts, phi, view_masks
@@ -35,16 +36,12 @@ class TestEvaluateCost:
 
     def test_demo_synthesis_cost(self):
         tree, demand = demo_instance()
-        assert evaluate_cost(tree, demand, THETA_STAR, D=4) == 32
+        assert validate_selection(THETA_STAR, demand, 4) == []
+        assert evaluate_cost(tree, demand, THETA_STAR) == 32
 
     def test_star_identity(self):
         tree, demand = star_instance()
         assert evaluate_cost(tree, demand, identity_selection(demand)) == 3
-
-    def test_invalid_selection_rejected_with_reason(self):
-        tree, demand = star_instance()
-        with pytest.raises(ValueError, match="invalid view selection.*width"):
-            evaluate_cost(tree, demand, {1: (1, 1), 2: (1, 9), 3: (3, 3)}, D=2)
 
     def test_matches_per_arc_loads(self, rng):
         for _ in range(30):

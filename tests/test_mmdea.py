@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
                   ShortestPathTree, brute_force_mmds, evaluate_cost, h_solve,
                   identity_selection, omds, segment_views, solve_d2, solve_d3,
-                  solve_general, solve_segment, two_view_fraction)
+                  solve_general, solve_segment, two_view_fraction,
+                  validate_selection)
 from mmds.cost import PHI_MODES, SolverError, view_masks
 from mmds.instances import demo_instance
 from mmds.mmdea import backtrack
@@ -165,7 +166,8 @@ class TestSolveGeneral:
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4, 5])
             res = solve_general(tree, demand, D, mode="exact")
-            assert evaluate_cost(tree, demand, res.theta, D) == res.total
+            assert validate_selection(res.theta, demand, D) == []
+            assert evaluate_cost(tree, demand, res.theta) == res.total
 
     def test_literal_never_undercharges(self, rng):
         for _ in range(60):

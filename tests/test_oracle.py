@@ -4,7 +4,7 @@ import pytest
 
 from mmds import (DemandMap, OracleGuardError, ShortestPathTree,
                   brute_force_emmds, brute_force_mmds, evaluate_cost, omds,
-                  segment_views, solve_general)
+                  segment_views, solve_general, validate_selection)
 from mmds.instances import demo_instance
 from mmds.oracle import selection_options
 
@@ -83,7 +83,8 @@ class TestBruteForceMmds:
                                         min(f for f in fs if f > v))
                 if not ok:
                     continue
-                assert evaluate_cost(tree, demand, theta, D) >= best
+                assert validate_selection(theta, demand, D) == []
+                assert evaluate_cost(tree, demand, theta) >= best
 
     def test_invariant_to_demand_ordering(self):
         tree, demand = demo_instance()
