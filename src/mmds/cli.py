@@ -3,7 +3,10 @@ batch scenario runs that emit self-describing CSV rows.
 
 Per-sample randomness is derived from the master seed by numpy seed
 spawning: sample i uses SeedSequence(seed, spawn_key=(i,)).  The derived
-integer is recorded in the sample_seed column of every row.
+integer is recorded in the sample_seed column of every row.  A batch
+runs in W = min(usable cores, samples) processes: the caller runs the
+samples i % W == 0 and forked child c those with i % W == c, sending
+back its rows as one pickle; without os.fork, W is 1, a serial loop.
 """
 
 from __future__ import annotations
@@ -11,15 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import pickle
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
-# loaded here, before a pool forks, so no worker pays the import
+# loaded here, before `run_scenario` forks, so no child pays the import
 from numpy.random import SeedSequence, default_rng
 
 from .cost import SolverError, two_view_fraction
@@ -153,18 +157,11 @@ def _sample_rows(config, index, sample_seed, tree, demand):
             for s in config.solvers]
 
 
-# A pool worker's (config, graph, candidates), set once by _init_worker;
-# arguments that fail to unpickle break the pool before the initializer runs.
-_worker = {}
-
-
-def _init_worker(args):
-    _worker["args"] = args
-
-
-def _run_pooled_sample(index):
-    """Rows of sample `index` in a pool worker."""
-    return _run_sample(*_worker["args"], index)
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    has one, else all the machine's cores."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
 def _solver_row(base, solver, tree, demand, D, phi):
@@ -231,19 +228,42 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
     if config.clients > len(candidates):
         raise ValueError(f"cannot place {config.clients} clients on "
                          f"{len(candidates)} non-server nodes")
-    workers = min(os.cpu_count() or 1, config.samples)
-    if workers > 1:
-        # each worker receives the graph once; a task is a sample index,
-        # handed out about four chunks per worker so uneven samples balance
-        chunk = max(1, config.samples // (4 * workers))
-        graph.spt  # built here once, so that forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=((config, graph, candidates),)) as pool:
-            per_sample = list(pool.map(_run_pooled_sample,
-                                       range(config.samples), chunksize=chunk))
-    else:
-        per_sample = [_run_sample(config, graph, candidates, i)
-                      for i in range(config.samples)]
+    workers = max(1, min(_usable_cores() if hasattr(os, "fork") else 1,
+                         config.samples))
+
+    def share(c):
+        return [_run_sample(config, graph, candidates, i)
+                for i in range(c, config.samples, workers)]
+    graph.spt  # built here once, so that the children inherit it
+    per_sample = [None] * config.samples
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for c in range(1, workers):
+            r, w = os.pipe()
+            if pid := os.fork():
+                os.close(w)
+                children[pid] = open(r, "rb")
+                continue
+            try:  # in the child, which exits 0 once its whole pickle is written
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    pickle.dump(share(c), pipe, pickle.HIGHEST_PROTOCOL)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)  # runs no atexit handler, flushes no inherited buffer
+        per_sample[::workers] = share(0)
+        for c, (pid, pipe) in enumerate(list(children.items()), 1):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(pid).close()
+            if code:  # also when it died part way through its pickle
+                raise BrokenProcessPool(f"child {pid} exited with {code}")
+            per_sample[c::workers] = pickle.loads(data)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     rows = [row for sample in per_sample for row in sample]
     return rows + _mean_rows(rows, _echo(config))
 

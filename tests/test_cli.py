@@ -1,11 +1,12 @@
 import csv
 import io
-import logging
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from functools import partial
 from importlib.resources import files
 from pathlib import Path
@@ -190,7 +191,7 @@ class TestRunCommand:
         assert by_solver["mmdea"]["error"] == "KeyError: 'view 7'"
 
     def test_unexpected_exception_in_a_worker_sample(self, monkeypatch):
-        # _run_sample is what each pool worker runs
+        # _run_sample is what the caller and each forked child run
         break_mmdea(monkeypatch, KeyError("view 7"))
         cfg = ScenarioConfig(gen=(30, 40), views=5, clients=6, d=2,
                              solvers=("omds", "mmdea"), samples=1, seed=1)
@@ -384,10 +385,15 @@ def strip_runtimes(rows):
     return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
 
 
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"),
+                               reason="samples run in forked children only "
+                                      "where os.fork exists")
+
+
 def run_with_cpus(monkeypatch, config, cpus):
-    """run_scenario as on a machine with `cpus` cores: serial at 1, a
-    process pool of `cpus` workers above."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    """run_scenario as on a machine with `cpus` usable cores: serial at 1,
+    the caller plus min(cpus, samples) - 1 forked children above."""
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cpus)
     return run_scenario(config)
 
 
@@ -404,6 +410,20 @@ class TestSerialAndPooledRuns:
         assert len(serial) == 6 * len(shape["solvers"]) + len(shape["solvers"])
         assert all(r["status"].startswith("ok") for r in serial)
         assert strip_runtimes(pooled) == strip_runtimes(serial)
+
+    @fork_only
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("samples", [1, 2, 5, 7])
+    def test_rows_come_back_in_sample_order(self, monkeypatch, samples, cpus):
+        # fewer samples than cores, and sample counts the process count
+        # does not divide
+        cfg = ScenarioConfig(topology=KDL_PATH, clients=20, samples=samples,
+                             seed=5)
+        serial = run_with_cpus(monkeypatch, cfg, 1)
+        assert [r["sample"] for r in serial[:-2]] == [
+            i for i in range(samples) for _ in cfg.solvers]
+        assert strip_runtimes(run_with_cpus(monkeypatch, cfg, cpus)) == \
+            strip_runtimes(serial)
 
 
 def reference_draw(config, candidates, index):
@@ -507,11 +527,6 @@ def test_output_matches_committed_csv(monkeypatch, name):
         assert got == list(csv.DictReader(fh))
 
 
-fork_only =pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="patched worker functions reach the pool only by fork")
-
-
 @fork_only
 def test_pooled_workers_inherit_the_graph_tree(monkeypatch):
     real = cli._run_sample
@@ -523,27 +538,41 @@ def test_pooled_workers_inherit_the_graph_tree(monkeypatch):
             row.update(pid=os.getpid(), inherited=inherited)
         return rows
     monkeypatch.setattr(cli, "_run_sample", run_sample)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
     rows = [r for r in run_scenario(ScenarioConfig(topology=KDL_PATH,
-                                                   clients=20, samples=4))
+                                                   clients=20, samples=7))
             if r["sample"] != "mean"]
-    assert len(rows) == 8 and all(r["status"] == "ok" for r in rows)
-    assert os.getpid() not in {r["pid"] for r in rows}
+    assert len(rows) == 14 and all(r["status"] == "ok" for r in rows)
     assert all(r["inherited"] for r in rows)
+    pids = [{r["pid"] for r in rows if r["sample"] % 3 == c} for c in range(3)]
+    assert pids[0] == {os.getpid()}
+    assert all(len(p) == 1 for p in pids[1:])
+    assert len(set.union(*pids)) == 3
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sigkill_mid_pickle(obj, file, protocol):
+    data = pickle.dumps(obj, protocol)
+    file.write(data[:len(data) // 2])
+    file.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @fork_only
 class TestDeadPoolWorker:
     ARGS = ("run", "--topology", KDL_PATH, "--clients", "20", "--samples", "6")
 
-    def run_pooled(self, monkeypatch, capfd):
-        """Run pooled under `capfd`, which sees what forked workers write
-        to stderr; their log records reach it as they would outside
-        pytest, not pytest's log capture."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(logging.getLogger("concurrent.futures"),
-                            "propagate", False)
-        return run_cli(capfd, *self.ARGS)
+    def run_forked(self, monkeypatch, capfd):
+        """Run with one forked child under `capfd`, which sees what the
+        child writes to stdout and stderr."""
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        code, out, err = run_cli(capfd, *self.ARGS)
+        assert_no_child_left()
+        return code, out, err
 
     def test_worker_dying_mid_sample(self, monkeypatch, capfd):
         real = cli._run_sample
@@ -553,17 +582,57 @@ class TestDeadPoolWorker:
                 os._exit(1)
             return real(config, graph, candidates, index)
         monkeypatch.setattr(cli, "_run_sample", run_sample)
-        code, out, err = self.run_pooled(monkeypatch, capfd)
+        code, out, err = self.run_forked(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
         assert "Traceback" not in err
 
-    def test_worker_dying_in_its_initializer(self, monkeypatch, capfd):
-        monkeypatch.setattr(cli, "_init_worker", lambda *args: os._exit(1))
-        code, out, err = self.run_pooled(monkeypatch, capfd)
+    @pytest.mark.parametrize("death", ["exit-before-writing",
+                                       "sigkill-mid-sample",
+                                       "sigkill-mid-pickle"])
+    def test_child_dying(self, monkeypatch, capfd, death):
+        real = cli._run_sample
+
+        def run_sample(config, graph, candidates, index):
+            if index == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(config, graph, candidates, index)
+        if death == "exit-before-writing":
+            monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(1))
+        elif death == "sigkill-mid-sample":
+            monkeypatch.setattr(cli, "_run_sample", run_sample)
+        else:
+            monkeypatch.setattr(pickle, "dump", sigkill_mid_pickle)
+        code, out, err = self.run_forked(monkeypatch, capfd)
         assert code == 3 and out == ""
         assert err.startswith("error: worker pool failed: ")
         assert "Traceback" not in err
+
+
+@fork_only
+def test_interrupt_in_the_callers_share_leaves_no_child(monkeypatch):
+    def run_sample(config, graph, candidates, index):
+        if index == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)  # still running when the caller is interrupted
+    monkeypatch.setattr(cli, "_run_sample", run_sample)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(ScenarioConfig(topology=KDL_PATH, clients=20, samples=6))
+    assert_no_child_left()
+    assert time.monotonic() - start < 30
+
+
+@fork_only
+def test_forked_run_prints_one_csv_header(monkeypatch, capfd):
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+    code, out, err = run_cli(capfd, "run", "--topology", KDL_PATH,
+                             "--clients", "20", "--samples", "5")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines.count(",".join(CSV_COLUMNS)) == 1
+    assert len(lines) == 1 + 5 * 2 + 2
 
 
 # The files the outcome cases read, written into the test's directory.
@@ -666,7 +735,7 @@ def test_emmdea_refusal_in_a_run_is_an_error_row(tmp_path, monkeypatch, capsys):
 
 
 def test_importing_the_cli_loads_numpy_random():
-    # a pool worker forks after the import, so it need not import it again
+    # a forked child starts after the import, so it need not import it again
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", "import sys, mmds.cli; "
                     "sys.exit('numpy.random' not in sys.modules)"],
