@@ -6,7 +6,8 @@ spawning: sample i uses SeedSequence(seed, spawn_key=(i,)).  The derived
 integer is recorded in the sample_seed column of every row.  A batch
 runs in W = min(usable cores, samples) processes: the caller runs the
 samples i % W == 0 and forked child c those with i % W == c, sending
-back its rows as one pickle; without os.fork, W is 1, a serial loop.
+back its rows as one pickle; without os.fork, W is 1, a serial loop.  A
+child whose caller has died leaves before its next sample.
 """
 
 from __future__ import annotations
@@ -232,9 +233,14 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
                          config.samples))
 
     def share(c):
-        return [_run_sample(config, graph, candidates, i)
-                for i in range(c, config.samples, workers)]
+        rows = []
+        for i in range(c, config.samples, workers):
+            if c and os.getppid() != caller:  # the caller died: leave
+                os._exit(1)
+            rows.append(_run_sample(config, graph, candidates, i))
+        return rows
     graph.spt  # built here once, so that the children inherit it
+    caller = os.getpid()  # a child's parent until the caller dies
     per_sample = [None] * config.samples
     children = {}  # pid -> read end of its pipe, until the child is reaped
     try:

@@ -28,17 +28,18 @@ and shared read-only, so every price is a popcount: |A - B| is
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
 exact mode |joint - m_k|; all of it in the other modes) is worked out once
-per variant.  A column is plain data, one (value, choice, joint) cell per
-variant; a variant's anchor tree, mask(k) | joint, is built only when it
-joins its column's staircase, the one place a tree is read.  The staircase
-holds the column's feasible variants in (value, j) order, each with a
-larger j than every one before it.  A column's anchor trees nest as j
-grows, so a dropped variant has a strictly larger value and no smaller
-|joint - tree_j| than an earlier, kept one, and can never win or tie.  A
-j-free price takes the head of the staircase; exact mode walks it adding
-|joint| - |joint & tree_j| (|joint| counted once per anchor, so no
-complement is built) and stops at the first value that alone exceeds the
-best price so far.  Equal prices go to the smallest j.
+per variant.  Only a column's staircase is read later: its feasible
+variants in (value, d) order, each with a larger d than every one before
+it.  A column is filled from its deepest d down to 2, then d = 0; a
+variant joins the staircase, and gets its anchor tree mask(k) | joint,
+when its price is at most `low`, the smallest price of a deeper variant.
+Every other cell is DROPPED.  The anchor trees nest as d grows, so a
+variant off the staircase can never win or tie.  No price falls below
+head + |m_k| + |joint - m_k| (head: the staircase's smallest value), so a
+variant whose bound exceeds `low` is cut unpriced, in every mode.  Exact
+mode walks the staircase adding |joint| - |joint & tree_j| and stops at
+the first value that alone reaches the best price so far, which starts at
+the price that would tie `low`.  Equal prices go to the smallest j.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .cost import (INFEASIBLE, SolveResult, SolverError, _check_mode, phi,
                    solve_by_segment, view_masks)
 from .graphs import DemandMap, Segment, ShortestPathTree
 
+# the one cell of every variant off its column's staircase
+DROPPED = (INFEASIBLE, None, 0)
+
 
 @dataclass
 class CostTable:
@@ -57,13 +61,16 @@ class CostTable:
     d = 0, the variant of column k - d anchored on for d >= 2, and None at
     the first column and in an infeasible cell; joint is the union of the
     view trees strictly between the anchors (0 for d = 0), so the cell's
-    anchor tree is mask(k) | joint.  `cells` counts the cells filled and
-    `prices` the exact-mode popcounts against a staircase entry's tree."""
+    anchor tree is mask(k) | joint.  A cell off its column's staircase is
+    DROPPED, so every variant keeps one cell.  `cells` counts the cells
+    filled, `prices` the exact-mode popcounts against a staircase entry's
+    tree and `cut` the variants the lower bound left unpriced."""
     segment: Segment
     desired: frozenset
     columns: dict = field(default_factory=dict)
     cells: int = 0
     prices: int = 0
+    cut: int = 0
 
     def minimum(self, k):
         return min(cell[0] for cell in self.columns[k].values())
@@ -82,17 +89,69 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
     # ranked[k]: column k's staircase of (value, d, anchor tree), ascending in
-    # value and d: built from the deepest d down, a cell joins when no
-    # deeper one is cheaper; d is unique per column, so ties go to the smaller d
+    # value and d: filled from the deepest d down, a cell joins when no deeper
+    # one is cheaper; d is unique per column, so ties go to the smaller d
     t = masks.get(m, 0)
     table.columns[m] = {0: (t.bit_count(), None, 0)}
     ranked = {m: [(t.bit_count(), 0, t)]}
-    cells, prices = 1, 0
+    cells, prices, cut = 1, 0, 0
     last = m  # nearest desired view below k
 
     for k in range(m + 1, M + 1):
         mk = masks.get(k, 0)
         ck = mk.bit_count()
+        # joints[d - 2]: union of the desired views' trees strictly between
+        # k - d and k, growing by view a + 1 as d grows
+        joints, joint = [], 0
+        for a in range(k - 2, max(m, k - D) - 1, -1):
+            if a + 1 in desired:
+                joint |= masks[a + 1]
+            joints.append(joint)
+        col, stair, low = {}, [], INFEASIBLE
+        for d in range(len(joints) + 1, 1, -1):
+            col[d] = DROPPED  # until the variant joins the staircase
+            a = k - d
+            cands = ranked[a]
+            if not cands:
+                continue
+            # a price that is the same for every predecessor variant j goes
+            # to the head of the staircase; exact mode adds |joint - tree_j|
+            head, j, _ = cands[0]
+            joint = joints[d - 2]
+            if a >= last:  # no desired view between the anchors
+                if k not in desired:
+                    continue
+                price = head + ck
+            elif (head + ck > low
+                  or head + (base := ck + (nj := joint.bit_count())
+                             - (joint & mk).bit_count()) > low):
+                # |joint - tree_j| >= 0, so the price would exceed low too
+                cut += 1
+                continue
+            elif mode == "exact":
+                # value order: once a stored value alone reaches the best
+                # price, or the price that would tie low, no popcount (>= 0)
+                # can undercut it
+                bv = low - base + 1
+                for value, dj, tj in cands:
+                    if value >= bv:
+                        break
+                    c = value + nj - (joint & tj).bit_count()
+                    prices += 1
+                    if c < bv:
+                        bv, j = c, dj
+                price = bv + base
+            elif mode == "literal":
+                price = head + ck + phi(joint, masks.get(a, 0), mk)
+            else:
+                m_a = masks.get(a, 0)
+                price = head + ck + sum(phi(masks[v], m_a, mk)
+                                        for v in range(a + 1, last + 1)
+                                        if v in desired)
+            if price <= low:  # only a staircase cell is ever read
+                col[d] = (price, j, joint)
+                stair.append((price, d, mk | joint))
+                low = price
         # variant 0: v_k extends a shorter prefix without synthesizing
         best_val, best_col = INFEASIBLE, None
         if k in desired:
@@ -100,55 +159,16 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 r = ranked[kp]
                 if r and r[0][0] < best_val:
                     best_val, best_col = r[0][0], kp
-        col = {0: (best_val + ck, best_col, 0)}
-        # variants d >= 2: anchor pair (v_{k-d}, v_k) synthesizes E_d;
-        # E_d and its path union grow by view a+1 as d grows
-        between, joint = [], 0
-        for d in range(2, min(D, k - m) + 1):
-            a = k - d
-            if a + 1 in desired:
-                between.append(a + 1)
-                joint |= masks[a + 1]
-            cands = ranked[a]
-            if not cands or (not between and k not in desired):
-                col[d] = (INFEASIBLE, None, joint)
-                continue
-            # a price that is the same for every predecessor variant j
-            # goes to the head of the staircase; exact mode adds |joint - tree_j|
-            head, j, _ = cands[0]
-            if not between:
-                price = head + ck
-            elif mode == "per_view":
-                m_a = masks.get(a, 0)
-                price = head + ck + sum(phi(masks[v], m_a, mk) for v in between)
-            elif mode == "literal":
-                price = head + ck + phi(joint, masks.get(a, 0), mk)
-            else:
-                # value order: once a stored value alone exceeds the best
-                # price, the popcount (>= 0) cannot bring a later one back
-                nj = joint.bit_count()
-                bv = INFEASIBLE
-                for value, dj, tj in cands:
-                    if value > bv:
-                        break
-                    c = value + nj - (joint & tj).bit_count()
-                    prices += 1
-                    if c < bv:
-                        bv, j = c, dj
-                price = bv + ck + nj - (joint & mk).bit_count()
-            col[d] = (price, j, joint)
+        price, col[0] = best_val + ck, DROPPED
+        if price <= low and price != INFEASIBLE:
+            col[0] = (price, best_col, 0)
+            stair.append((price, 0, mk))
         cells += len(col)
         table.columns[k] = col
-        # only a staircase cell's anchor tree is ever read
-        stair, low = [], INFEASIBLE
-        for d, (value, _, joint) in reversed(col.items()):
-            if value <= low and value != INFEASIBLE:
-                stair.append((value, d, mk | joint))
-                low = value
         ranked[k] = stair[::-1]
         if k in desired:
             last = k
-    table.cells, table.prices = cells, prices
+    table.cells, table.prices, table.cut = cells, prices, cut
 
     value = table.minimum(M)
     if value == INFEASIBLE:
@@ -188,12 +208,13 @@ def backtrack(table: CostTable) -> dict:
 def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
                   mode: str = "exact") -> SolveResult:
     """Optimal non-crossing view selection over all segments."""
-    stats = {"cells": 0, "prices": 0}
+    stats = {"cells": 0, "prices": 0, "cut": 0}
 
     def solve_one(seg, _masks):  # solve_segment reads the same masks
         value, theta, table = solve_segment(tree, demand, seg, D, mode)
         stats["cells"] += table.cells
         stats["prices"] += table.prices
+        stats["cut"] += table.cut
         return value, theta
 
     return solve_by_segment("mmdea", tree, demand, D, solve_one, mode,

@@ -624,6 +624,60 @@ def test_interrupt_in_the_callers_share_leaves_no_child(monkeypatch):
     assert time.monotonic() - start < 30
 
 
+# Runs a long scenario with one forked child and prints the child's pid.
+ORPHAN_SCRIPT = """
+import os, sys
+from mmds import cli
+fork = os.fork
+def announce():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = announce
+cli._usable_cores = lambda: 2
+cli.run_scenario(cli.ScenarioConfig(topology=sys.argv[1], clients=20,
+                                    samples=10 ** 6))
+"""
+
+
+def running(pid):
+    """Whether `pid` is a live process; a zombie has finished running."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@fork_only
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads a process's state from /proc")
+def test_child_leaves_once_its_caller_is_terminated():
+    # SIGTERM ends the caller without its finally; the child, reparented,
+    # must not compute the rest of its share
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, KDL_PATH],
+                            stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    child = int(proc.stdout.readline())
+    try:
+        time.sleep(0.5)  # both are mid-share
+        assert running(child)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(10) == -signal.SIGTERM
+        deadline = time.monotonic() + 2
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if running(child):
+            os.kill(child, signal.SIGKILL)
+
+
 @fork_only
 def test_forked_run_prints_one_csv_header(monkeypatch, capfd):
     monkeypatch.setattr(cli, "_usable_cores", lambda: 3)

@@ -9,9 +9,10 @@ from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
                   identity_selection, omds, segment_views, solve_d2, solve_d3,
                   solve_general, solve_segment, two_view_fraction,
                   validate_selection)
-from mmds.cost import PHI_MODES, SolverError, view_masks
+from mmds import mmdea
+from mmds.cost import PHI_MODES, SolverError, phi, view_masks
 from mmds.instances import demo_instance
-from mmds.mmdea import backtrack
+from mmds.mmdea import DROPPED, backtrack
 
 from conftest import bundled_instance, random_tree_instance, small_instances
 
@@ -343,22 +344,26 @@ def reference_table(masks, seg, D, mode):
     return table, trees
 
 
-def anchor_trees(table, masks):
-    """Each feasible cell's anchor tree, mask(k) | joint, as trees[k][d]."""
-    return {k: {d: masks.get(k, 0) | joint
-                for d, (value, _, joint) in col.items() if value != INFEASIBLE}
-            for k, col in table.columns.items()}
-
-
 class TestAgainstFullScanReference:
+    """Every variant keeps its cell slot; the reference's staircase cells
+    come out exactly, with their anchor trees, and every other cell is the
+    one DROPPED cell."""
+
     def assert_matches(self, tree, demand, D, mode):
         masks = view_masks(tree, demand)
         total, theta = 0, {}
         for seg in segment_views(demand, D):
             ref, trees = reference_table(masks, seg, D, mode)
             _, _, got = solve_segment(tree, demand, seg, D, mode)
-            assert got.columns == ref.columns
-            assert anchor_trees(got, masks) == trees
+            assert got.columns.keys() == ref.columns.keys()
+            for k, col in ref.columns.items():
+                assert got.columns[k].keys() == col.keys()
+                on = [d for _, d in staircase(col)]
+                assert [got.columns[k][d] for d in on] == [col[d] for d in on]
+                assert all(got.columns[k][d] == DROPPED
+                           for d in col if d not in on)
+                assert [masks.get(k, 0) | got.columns[k][d][2] for d in on] \
+                    == [trees[k][d] for d in on]
             total += ref.minimum(seg.hi)
             theta.update(backtrack(ref))
         res = solve_general(tree, demand, D, mode)
@@ -396,13 +401,11 @@ class TestAnchorTreesNest:
     def assert_nested(self, tree, demand, D):
         masks = view_masks(tree, demand)
         for seg in segment_views(demand, D):
-            _, _, table = solve_segment(tree, demand, seg, D, "exact")
-            for k, col in table.columns.items():
-                mk = masks.get(k, 0)
-                trees = [mk | joint for _, (value, _, joint) in sorted(col.items())
-                         if value != INFEASIBLE]
-                for i, small in enumerate(trees):
-                    assert all(small & ~big == 0 for big in trees[i + 1:])
+            _, trees = reference_table(masks, seg, D, "exact")
+            for column in trees.values():
+                nested = [t for _, t in sorted(column.items())]
+                for i, small in enumerate(nested):
+                    assert all(small & ~big == 0 for big in nested[i + 1:])
 
     def test_demo(self):
         tree, demand = demo_instance()
@@ -455,20 +458,26 @@ def staircase(column):
     return stair
 
 
-def staircase_candidates(table):
+def anchor_variants(seg, D):
+    """(k, d) of every anchor variant of the segment's lattice."""
+    return [(k, d) for k in range(seg.lo + 1, seg.hi + 1)
+            for d in range(2, min(D, k - seg.lo) + 1)]
+
+
+def staircase_candidates(table, D):
     """Staircase entries an exact-mode walk may price: the length of column
     k - d's staircase, for each anchor variant d with a desired view between
     its anchors."""
     return sum(len(staircase(table.columns[k - d]))
-               for k, col in table.columns.items() for d in col
-               if d >= 2 and any(v in table.desired for v in range(k - d + 1, k)))
+               for k, d in anchor_variants(table.segment, D)
+               if any(v in table.desired for v in range(k - d + 1, k)))
 
 
 class TestStaircase:
     def assert_bounded(self, tree, demand, D):
         for seg in segment_views(demand, D):
             _, _, table = solve_segment(tree, demand, seg, D, "exact")
-            assert table.prices <= staircase_candidates(table)
+            assert table.prices <= staircase_candidates(table, D)
 
     def test_random_trees(self, rng):
         for _ in range(200):
@@ -495,13 +504,47 @@ class TestSolveStats:
     def test_early_exit_prices_fewer_candidates(self, mode):
         tree, demand = bundled_instance(DemandDistribution("uniform", 100),
                                         2024, clients=753)
+        masks = view_masks(tree, demand)
         scanned = prices = 0
         for seg in segment_views(demand, 16):
             _, _, table = solve_segment(tree, demand, seg, 16, mode)
-            scanned += scanned_candidates(table, mode)
+            scanned += scanned_candidates(
+                reference_table(masks, seg, 16, mode)[0], mode)
             prices += table.prices
         assert solve_general(tree, demand, 16, mode).stats["prices"] == prices
         if mode == "exact":
             assert 0 < prices < scanned
         else:  # the whole price is the same for every predecessor variant
             assert prices == 0
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_cut_counts_the_walks_the_bound_skips(self, mode, monkeypatch):
+        """An anchor variant with a desired view between its anchors is
+        priced or cut, and cut exactly when head + |m_k| + |joint - m_k|
+        exceeds the smallest value of a deeper variant of its column."""
+        tree, demand = bundled_instance(DemandDistribution("uniform", 100),
+                                        2024, clients=753)
+        masks = view_masks(tree, demand)
+        calls = []  # literal mode prices each walked variant with one phi
+        monkeypatch.setattr(mmdea, "phi",
+                            lambda *args: calls.append(args) or phi(*args))
+        between = bounded = cut = 0
+        for seg in segment_views(demand, 16):
+            ref, _ = reference_table(masks, seg, 16, mode)
+            for k, d in anchor_variants(seg, 16):
+                value, _, joint = ref.columns[k][d]
+                if value == INFEASIBLE or not any(
+                        v in ref.desired for v in range(k - d + 1, k)):
+                    continue
+                between += 1
+                mk = masks.get(k, 0)
+                bound = (ref.minimum(k - d) + mk.bit_count()
+                         + (joint & ~mk).bit_count())
+                bounded += bound > min((v for dd, (v, _, _)
+                                        in ref.columns[k].items() if dd > d),
+                                       default=INFEASIBLE)
+            cut += solve_segment(tree, demand, seg, 16, mode)[2].cut
+        assert 0 < cut == bounded
+        if mode == "literal":
+            assert cut + len(calls) == between
+        assert solve_general(tree, demand, 16, mode).stats["cut"] == cut
