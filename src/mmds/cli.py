@@ -34,8 +34,8 @@ from .hmmdea import h_solve
 from .instances import DEMO_VIEW_COUNT, demo_instance
 from .mmdea import solve_general
 from .oracle import OracleGuardError, brute_force_emmds, brute_force_mmds, omds
-from .workload import (DemandDistribution, generate_topology, is_integer,
-                       parse_topology, read_demand, sample_demand)
+from .workload import (DemandDistribution, draw_demand, generate_topology,
+                       is_integer, parse_topology, read_demand)
 
 # name -> call(tree, demand, D, phi); `run_solver`, the `solve --solver`
 # choices and `run_scenario`'s solver check read it.  Each call looks its
@@ -59,6 +59,7 @@ REFUSALS = (OracleGuardError, StateSpaceError)  # exit 2, or an error row
 # match gives the exit code and the stderr prefix ({} takes the class
 # name).  Order matters: OracleGuardError is a ValueError.
 OUTCOMES = (
+    (KeyboardInterrupt, 130, "interrupted"),  # 128 + SIGINT, as a shell has it
     (REFUSALS, 2, "refused: "),
     (BrokenProcessPool, 3, "error: worker pool failed: "),
     (SolverError, 3, "internal error: "),
@@ -144,8 +145,9 @@ def _run_sample(config, graph, candidates, index):
     ss = SeedSequence(config.seed, spawn_key=(index,))
     rng = default_rng(ss)
     picks = rng.choice(len(candidates), size=config.clients, replace=False)
+    # in `repr` order, as the sorted indices of `repr`-sorted candidates
     terminals = [candidates[i] for i in np.sort(picks).tolist()]
-    demand = sample_demand(parse_dist(config.dist, config.views), terminals, rng)
+    demand = draw_demand(parse_dist(config.dist, config.views), terminals, rng)
     tree = build_spt(graph, terminals)
     return _sample_rows(config, index, int(ss.generate_state(1)[0]), tree, demand)
 
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
         args.phi = "per_view"
     try:
         return args.func(args)
-    except Exception as exc:  # every failure ends in an exit code, not a traceback
+    except (Exception, KeyboardInterrupt) as exc:  # an exit code, no traceback
         code, prefix = next(o[1:] for o in OUTCOMES if isinstance(exc, o[0]))
         print(prefix.format(type(exc).__name__) + str(exc), file=sys.stderr)
         return code

@@ -12,6 +12,12 @@ File formats:
 
 In every format ``#`` starts a comment.
 
+A GML text with no ``"`` or ``#`` is tokenized by str.split() once its
+brackets are padded with blanks; any other text takes one `_GML_TOKEN`
+pass.  One loop with a stack of open blocks, at most `_MAX_NESTING`, reads
+the tokens; it holds the first semantic error to the end, so a syntax
+error anywhere wins.
+
 Node tokens of ASCII digits, with an optional leading ``-``, become
 integers so that edge lists, GML files and demand files agree on node
 identity; any other token, ``²`` or ``٣`` included, is a name.  A
@@ -87,71 +93,73 @@ def _token_lines(text):
     return lambda index: lines()[index]
 
 
+_MAX_NESTING = 1000  # open blocks at once; one more is a parse error
+
+
 def _tokenize_gml(text):
-    """The tokens of the whole text, from one regex pass.  A quoted string
-    keeps its quotes, so ``"["`` is never a bracket; comments are dropped."""
-    tokens = _GML_TOKEN.findall(text.rstrip())
-    tokens = [t for t in tokens if t[0] != "#"] if "#" in text else tokens
+    """The tokens of the whole text.  A quoted string keeps its quotes, so
+    ``"["`` is never a bracket; comments are dropped."""
+    if '"' not in text and "#" not in text:  # split() splits where `\s` matches
+        return text.replace("[", " [ ").replace("]", " ] ").split()
+    tokens = [t for t in _GML_TOKEN.findall(text.rstrip()) if t[0] != "#"]
     if '"' in tokens:
         i = tokens.index('"')
         raise ValueError(f"line {_token_lines(text)(i)}: unterminated string")
     return tokens
 
 
-def _read_pairs(tokens, line, closed=False):
-    """Read ``key value`` pairs from (index, token) pairs up to the ``]``
-    that closes this block, or to the end when not `closed`, as (key, value,
-    index) triples; `line` maps an index to its line.  A key is a bare word;
-    a value is a bare word, a quoted string (unquoted) or a list of triples."""
-    pairs = []
-    for i, key in tokens:
-        if key == "]" and closed:
-            return pairs
-        if key[0] in '[]"':
-            raise ValueError(f"line {line(i)}: expected a key, got {key}")
-        _, value = next(tokens, (i, "]"))
-        if value == "]":
-            raise ValueError(f"line {line(i)}: {key} has no value")
-        if value == "[":
-            value = _read_pairs(tokens, line, closed=True)
-        elif value[0] == '"':
-            value = value[1:-1]
-        pairs.append((key, value, i))
-    if closed:
-        raise ValueError(f"line {line(-1)}: unterminated block")
-    return pairs
-
-
 def _parse_gml(text):
+    """Nodes, labels and (source, target, token index) edges, in one pass."""
+    tokens = _tokenize_gml(text)
     line = _token_lines(text)
-    try:
-        top = _read_pairs(enumerate(_tokenize_gml(text)), line)
-    except RecursionError:
-        raise ValueError(f"line {line(-1)}: blocks nested too deeply") from None
     node_id = cache(_node_id)  # an id recurs at each end of its edges
-    declared, labels, edges = [], {}, []
-    for key, graph, i in top:
-        if key != "graph":
-            continue  # stray top-level attribute such as 'Creator "..."'
-        if isinstance(graph, str):
-            raise ValueError(f"line {line(i)}: expected '[' after 'graph'")
-        for kind, block, i in graph:
-            if kind not in ("node", "edge"):
-                continue
-            if isinstance(block, str):
-                raise ValueError(f"line {line(i)}: expected '[' to open {kind} block")
-            # the first scalar value of a key wins; nested blocks are ignored
-            fields = {k: v for k, v, _ in reversed(block) if isinstance(v, str)}
-            for need in ("id",) if kind == "node" else ("source", "target"):
-                if need not in fields:
-                    raise ValueError(f"line {line(i)}: {kind} block without {need}")
-            if kind == "node":
+    declared, labels, edges, error = [], {}, [], None
+    # The innermost open block (at first the top level): the keys of the
+    # blocks kept in it, its key's index, and a node or edge block's fields.
+    kept, at, fields, stack = ("graph",), -1, None, []
+    pairs = enumerate(tokens)
+    for i, key in pairs:
+        if key == "]" and stack:
+            kind = fields is not None and tokens[at]
+            if kind == "node" and "id" in fields:
                 nid = node_id(fields["id"])
-                declared.append((nid, i))
+                declared.append((nid, at))
                 if "label" in fields:
                     labels[nid] = fields["label"]
+            elif kind == "edge" and "source" in fields and "target" in fields:
+                edges.append((node_id(fields["source"]),
+                              node_id(fields["target"]), at))
+            elif kind and error is None:
+                need = ("id" if kind == "node" else
+                        "target" if "source" in fields else "source")
+                error = f"line {line(at)}: {kind} block without {need}"
+            kept, at, fields = stack.pop()
+            continue
+        if key[0] in '[]"':
+            raise ValueError(f"line {line(i)}: expected a key, got {key}")
+        value = next(pairs, (0, "]"))[1]
+        if value == "[":
+            if len(stack) == _MAX_NESTING:
+                raise ValueError(f"line {line(-1)}: blocks nested too deeply")
+            stack.append((kept, at, fields))
+            if key not in kept:
+                kept, fields = (), None  # only its syntax is checked
+            elif key == "graph":
+                kept, fields = ("node", "edge"), None
             else:
-                edges.append((node_id(fields["source"]), node_id(fields["target"]), i))
+                kept, fields = (), {}
+            at = i
+        elif value == "]":
+            raise ValueError(f"line {line(i)}: {key} has no value")
+        elif fields is not None:
+            fields.setdefault(key, value[1:-1] if value[0] == '"' else value)
+        elif key in kept and error is None:
+            error = (f"line {line(i)}: expected '[' after 'graph'" if key == "graph"
+                     else f"line {line(i)}: expected '[' to open {key} block")
+    if stack:
+        raise ValueError(f"line {line(-1)}: unterminated block")
+    if error:
+        raise ValueError(error)
     if not declared:
         raise ValueError("line 1: no 'graph [ ... ]' block found")
     _one_id_kind(declared, line)
@@ -322,8 +330,11 @@ def zipf_rank_to_view(dist: DemandDistribution) -> list:
 def sample_demand(dist: DemandDistribution, terminals, seed=0) -> DemandMap:
     """Draw one desired view per terminal, independently; deterministic
     for a given (distribution, terminal set, seed)."""
-    rng = np.random.default_rng(seed)
-    terms = sorted(terminals, key=repr)
+    return draw_demand(dist, sorted(terminals, key=repr), np.random.default_rng(seed))
+
+
+def draw_demand(dist: DemandDistribution, terms, rng) -> DemandMap:
+    """`sample_demand` of terminals in `repr` order, drawn from `rng`."""
     K = dist.view_count
     if dist.kind == "uniform":
         views = rng.integers(1, K + 1, size=len(terms)).tolist()

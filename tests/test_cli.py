@@ -625,8 +625,8 @@ def test_interrupt_in_the_callers_share_leaves_no_child(monkeypatch):
 
 
 # Runs a long scenario with one forked child and prints the child's pid.
-ORPHAN_SCRIPT = """
-import os, sys
+FORK_ANNOUNCING = """
+import os, signal, sys
 from mmds import cli
 fork = os.fork
 def announce():
@@ -636,8 +636,17 @@ def announce():
     return pid
 os.fork = announce
 cli._usable_cores = lambda: 2
+"""
+ORPHAN_SCRIPT = FORK_ANNOUNCING + """
 cli.run_scenario(cli.ScenarioConfig(topology=sys.argv[1], clients=20,
                                     samples=10 ** 6))
+"""
+# The same run through `main`, as the console script makes it, with SIGINT
+# raising KeyboardInterrupt even where the test runner ignores it.
+INTERRUPTED_SCRIPT = FORK_ANNOUNCING + """
+signal.signal(signal.SIGINT, signal.default_int_handler)
+sys.exit(cli.main(["run", "--topology", sys.argv[1], "--clients", "20",
+                   "--samples", str(10 ** 6), "--out", os.devnull]))
 """
 
 
@@ -674,6 +683,36 @@ def test_child_leaves_once_its_caller_is_terminated():
         proc.kill()
         proc.wait()
         proc.stdout.close()
+        if running(child):
+            os.kill(child, signal.SIGKILL)
+
+
+@fork_only
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads a process's state from /proc")
+@pytest.mark.parametrize("to_group", [True, False], ids=["group", "caller"])
+def test_interrupted_run_exits_130_in_one_line(to_group):
+    # Ctrl-C signals the whole process group, the child included; a SIGINT
+    # to the caller alone leaves the child to the caller's cleanup
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_SCRIPT, KDL_PATH],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    child = int(proc.stdout.readline())
+    try:
+        time.sleep(0.5)  # both are mid-share
+        if to_group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert "Traceback" not in err
+        assert (proc.returncode, err) == (130, "interrupted\n")
+        assert not running(child)
+    finally:
+        proc.kill()
+        proc.communicate()
         if running(child):
             os.kill(child, signal.SIGKILL)
 

@@ -20,7 +20,8 @@ from mmds import (DemandDistribution, DemandMap, NetworkGraph,
                   sample_demand, write_demand, write_edges, write_gml,
                   zipf_pmf, zipf_rank_to_view)
 from mmds.cli import main
-from mmds.workload import _node_id, _one_id_kind, _parse_gml, _token_lines
+from mmds.workload import (_MAX_NESTING, _node_id, _one_id_kind, _parse_gml,
+                           _token_lines, _tokenize_gml)
 
 KDL = files("mmds.data") / "kdl_754_895.gml"
 
@@ -391,6 +392,54 @@ def test_self_loop_deep_in_the_bundled_file_names_its_line():
                        largest_component=True)
     assert "line 5000: dropping self-loop on node 498" in [
         str(w.message) for w in caught]
+
+
+# The tokenizer the split-based one stands in for: one regex over the whole
+# text, comments filtered out, the first lone quote an error.
+_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # where str.splitlines() breaks
+_ONE_REGEX = re.compile(
+    rf'\s*([^\s"#[\]][^\s[\]]*|[][]|"[^"{_BREAKS}]*"|#[^{_BREAKS}]*|")')
+
+
+def one_regex_tokens(text):
+    matches = [m for m in _ONE_REGEX.finditer(text.rstrip()) if m[1][0] != "#"]
+    for m in matches:
+        if m[1] == '"':
+            line = len((text[:m.start(1)] + '"').splitlines())
+            raise ValueError(f"line {line}: unterminated string")
+    return [m[1] for m in matches]
+
+
+# Brackets and the separators str.split() and `\s` share (NEL, FS and NBSP
+# among them), which the split path takes; words a quote or a hash runs on
+# from, strings and comments, which send a text to the regex.
+BARE_PIECES = ["[", "]", "w", "\x85", " ", "\x1c", "\xa0", "\x0c", "\n"]
+TOKEN_PIECES = BARE_PIECES + ['a"b', "a#b", '"x"y', 'a"', "b#", '"', "#",
+                              '"x"', '"a b"', "# c"]
+
+
+def texts(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=30).map("".join)
+
+
+@given(texts(TOKEN_PIECES) | texts(BARE_PIECES))
+@settings(max_examples=1000, deadline=None)
+def test_split_tokens_match_the_single_regex(text):
+    assert gml_outcome(_tokenize_gml, text) == gml_outcome(one_regex_tokens,
+                                                           text)
+
+
+def nested_gml(depth):
+    """A graph block holding one node and depth - 1 nested blocks."""
+    return "graph [ node [ id 1 ]\n" + "x [ " * (depth - 1) + "] " * depth
+
+
+def test_nesting_past_the_bound_is_a_parse_error():
+    # Python's stack used to end the old recursive reader at 994 blocks
+    assert _MAX_NESTING >= 994
+    assert parse_topology(io.StringIO(nested_gml(_MAX_NESTING))).nodes == {1}
+    with pytest.raises(ValueError, match="^line 2: blocks nested too deeply$"):
+        parse_topology(io.StringIO(nested_gml(_MAX_NESTING + 1)))
 
 
 def test_trailing_blanks_parse_in_linear_time():
