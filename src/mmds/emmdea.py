@@ -4,19 +4,25 @@ intervals may cross: a desired view may pick any transmitted source pair
 lie strictly between l and r.
 
 The dynamic program sweeps the view columns of each segment keeping, per
-column, a dict from state ``(window, promises)`` to its best ``(value,
-back)``.  ``window`` holds a ``(view, users)`` pair per transmitted view
-in the trailing window, in view order; ``promises`` a ``(r, users)`` pair
-per view promised as a future right source, in ``r`` order; ``users`` is
-an int with bit ``p`` set for each desired view ``p`` synthesized from
-that source.  A transmitted view's retire price is its full delivery tree
-for its users so far, memoised per segment on ``(view, users)``.  A
-state's value is the retire prices of every view transmitted so far,
-window entries included at their current users, so a view leaving the
-window (no later view can select it) changes no value and final values
-are the true per-arc cost of the assembled selection.  ``back`` is a cons
-cell ``(parent_back, (k, (l, r)))``, decoded into theta for the best final
-state only.  Delivery trees are ``cost.view_masks`` bitmasks.
+column, the best ``(value, back)`` of each state ``(window, promises)``,
+grouped by ``promises`` (a dict of dicts by window), so a promise set is
+built, hashed and bounded once per column, not once per state.  ``window``
+holds a ``(view, users)`` pair per transmitted view in the trailing
+window, in view order; ``promises`` a ``(r, users)`` pair per view
+promised as a future right source, in ``r`` order; ``users`` is an int
+with bit ``p`` set for each desired view ``p`` synthesized from that
+source.  A transmitted view's retire price is its full delivery tree for
+its users so far.  One memo per segment maps each ``(view, users)`` entry
+to its tree and price: a fresh or promised entry is priced from scratch
+once, and a window entry grown by user k from the entry it grew from, in
+O(1): the tree gains k's, and the literal / per_view price k's marginal
+against the view's own tree.  A state's value is the retire prices of
+every view transmitted so far, window entries included at their current
+users, so a view leaving the window (no later view can select it) changes
+no value and final values are the true per-arc cost of the assembled
+selection.  ``back`` is a cons cell ``(parent_back, (k, (l, r)))``,
+decoded into theta for the best final state only.  Delivery trees are
+``cost.view_masks`` bitmasks.
 
 Ties: of two states with one key and one value the sweep keeps the
 smaller ``back`` (tuple order, which compares picks from the first column
@@ -36,7 +42,8 @@ value, its promised views' delivery trees so far and the points the
 greedy adds where those trees stab nothing exceed the bound.  Literal and
 per_view prices need not telescope, so those modes prune nothing.
 ``SolveResult.stats`` counts ``states`` kept (summed over columns), the
-``peak`` column, the children ``cut`` and the states ``pruned``.
+``peak`` column, the children ``cut``, the states ``pruned`` and the
+delivery ``trees`` priced (the memos' sizes).
 
 A segment is refused (``StateSpaceError``) past ``state_cap`` kept states
 in one column or ten times that summed over its columns.  The sweep runs
@@ -45,7 +52,6 @@ per segment under ``cost.solve_by_segment``, which certifies the result.
 
 from __future__ import annotations
 
-from functools import cache, partial
 from itertools import accumulate
 from math import inf
 
@@ -76,141 +82,178 @@ def _delivery(masks, entry):
     return full, marginal
 
 
-def _retire(masks, mode, entry):
-    """Price a transmitted view's delivery tree for its users so far."""
-    full, marginal = _delivery(masks, entry)
-    # literal / per_view: closed-form marginals against the view's own tree
-    return full.bit_count() if mode == "exact" else marginal
+class _Trees(dict):
+    """A segment's memo from each transmitted view's ``(view, users)`` entry
+    to its delivery tree and its price: a fresh or promised entry is priced
+    from scratch when first read, a grown one by `grow`."""
+
+    def __init__(self, masks, mode):
+        super().__init__()
+        self.masks, self.exact = masks, mode == "exact"
+
+    def __missing__(self, entry):
+        full, marginal = _delivery(self.masks, entry)
+        # literal / per_view: closed-form marginals against the view's own tree
+        priced = self[entry] = full, full.bit_count() if self.exact else marginal
+        return priced
+
+    def grow(self, entry, k):
+        """``entry`` with user k added, priced in O(1) from ``entry``'s item."""
+        (view, users), (full, price) = entry, self[entry]
+        user = self.masks[k]
+        full |= user
+        price = (full.bit_count() if self.exact
+                 else price + (user & ~self.masks.get(view, 0)).bit_count())
+        priced = self[view, users | 1 << k] = full, price
+        return priced
 
 
-def _promise(promises, r, bit):
-    """Add user bit ``bit`` to the promise for ``r``, keeping ``r`` order."""
-    users = dict(promises)
-    users[r] = users.get(r, 0) | bit
-    return tuple(sorted(users.items()))
-
-
-def _stab(masks, D, pts, top, k, free):
-    """For p = top..k+1, yield how many arcs of p's tree no point in
-    p..p+D-1 stabs yet, and stab them at p.  ``pts[q]`` holds the points at
-    q > top and takes those at p; ``free[p]`` are arcs stabbed at no cost."""
-    for p in range(top, k, -1):
-        here = covered = free.get(p, 0)
-        for q in range(p + 1, p + D):
-            covered |= pts[q]
-        new = masks.get(p, 0) & ~covered
-        pts[p] = new | here
-        yield new.bit_count()
+def _stab(masks, D, near, k):
+    """For p from the top down to k+1, stab at p the arcs of p's tree that
+    no point in p..p+D-1 stabs yet, and list how many, the top first.
+    ``near[p - k - 1]`` holds the points at p (at first the arcs stabbed
+    there at no cost), and its last D - 1 items those above the top."""
+    counts = []
+    for i in range(len(near) - D, -1, -1):
+        covered = 0
+        for points in near[i:i + D]:
+            covered |= points
+        new = masks.get(k + 1 + i, 0) & ~covered
+        near[i] |= new
+        counts.append(new.bit_count())
+    return counts
 
 
 def _suffix_bounds(masks, m, M, D):
     """h[k] for k in m-1..M, a lower bound on the cost of the views
     transmitted above k, and the points it places (a list by view, zero past
     M): stabbing from the top finds the least such set on every arc at once."""
-    pts = [0] * (M + D)
-    counts = _stab(masks, D, pts, M, m - 1, {})
-    return dict(zip(range(M, m - 2, -1), accumulate(counts, initial=0))), pts
+    near = [0] * (M - m + D)
+    counts = _stab(masks, D, near, m - 1)
+    return (dict(zip(range(M, m - 2, -1), accumulate(counts, initial=0))),
+            [0] * m + near)
 
 
-def _promised_bound(masks, D, h, pts, k, promises):
+def _promised_bound(trees, D, h, pts, k, promises):
     """A lower bound on what a state with ``promises`` still pays above
-    column k: its promised views' delivery trees so far, each stabbing its
-    arcs at its view, plus the points left to add (``h``'s above the top)."""
-    free = {entry[0]: _delivery(masks, entry)[0] for entry in promises}
+    column k: its promised views' delivery trees so far (read from the memo
+    ``trees``), each stabbing its arcs at its view, plus the points left to
+    add (``h``'s above the top)."""
     top = promises[-1][0]
-    return (sum(tree.bit_count() for tree in free.values()) + h[top]
-            + sum(_stab(masks, D, list(pts), top, k, free)))
+    near = [0] * (top - k) + pts[top + 1:top + D]
+    bound = h[top]
+    for entry in promises:
+        tree = near[entry[0] - k - 1] = trees[entry][0]
+        bound += tree.bit_count()
+    return bound + sum(_stab(trees.masks, D, near, k))
 
 
 def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
-    retire = cache(partial(_retire, masks, mode))
-    promise = cache(_promise)
+    trees = _Trees(masks, mode)
+    tree, grow = trees.get, trees.grow
     if ub is not None:
         h, pts = _suffix_bounds(masks, m, M, D)
-        bound = cache(partial(_promised_bound, masks, D, h, pts))
-    unset = (inf,)  # above every (value, back)
-    # a state's value counts its window entries at their current retire
-    # prices, so a view leaving the window changes no value
-    states = {((), ()): (0, None)}
-    swept = cut = 0
+    states = {(): {(): (0, None)}}  # promises -> window -> (value, back)
+    swept = cut = pruned = 0
     for k in range(m, M + 1):
         nxt = {}
-        get = nxt.get
-        bit, fresh, direct = 1 << k, (k, 0), (k, (k, k))
-        price, wanted = retire(fresh), k in desired
+        group = nxt.setdefault
+        bit, fresh, direct, gone = 1 << k, (k, 0), (k, (k, k)), k - D + 1
+        price, wanted = trees[fresh][1], k in desired
+        # each usable left view's picks, one per right source
+        lefts = {l: [(k, (l, r)) for r in range(k + 1, min(M, l + D) + 1)]
+                 for l in range(gone, k)}
         # no child valued above lim can finish within mmdea's optimum; one
         # that keeps its parent's value, or fulfils a promise its parent's
         # bound already counted, never is
         lim = inf if ub is None else ub - h[k]
-        # equal values go to the smaller chain: picks compared from the
-        # first column on, so no sweep order decides a tie
-        for (window, promises), (value, back) in states.items():
-            # the view leaving the usable-left window retires
-            off = 1 if window and window[0][0] == k - D + 1 else 0
-            kept = window[off:]
-            if promises and promises[0][0] == k:
-                key = (kept + (promises[0],), promises[1:])
-                child = (value + retire(promises[0]),
-                         (back, direct) if wanted else back)
-                if child < get(key, unset):
-                    nxt[key] = child
-            elif wanted:
+        # `put(key, child) > child` where the key holds a larger child (a
+        # new key takes the child): equal values go to the smaller chain,
+        # picks compared from the first column on, so no sweep order
+        # decides a tie
+        for promises, windows in states.items():
+            due = promises and promises[0][0] == k
+            into = group(promises[1:] if due else promises, {})
+            put = into.setdefault
+            if wanted and not due:
+                # by right source r = k+1..: the windows of the promise set
+                # that adds user k to r, where children synthesized from r go
+                old = dict(promises)
+                rights = [group(tuple(sorted({**old, r: old.get(r, 0) | bit}
+                                             .items())), {})
+                          for r in range(k + 1, min(M, k + D - 1) + 1)]
+            for window, (value, back) in windows.items():
+                # the view leaving the usable-left window retires
+                off = 1 if window and window[0][0] == gone else 0
+                kept = window[off:]
+                if due:  # the promised view is transmitted
+                    key = kept + (promises[0],)
+                    child = (value + trees[promises[0]][1],
+                             (back, direct) if wanted else back)
+                    if put(key, child) > child:
+                        into[key] = child
+                    continue
+                if not wanted:
+                    # skip, or transmit speculatively as a future left
+                    # source (an undesired view's own tree is empty)
+                    child = (value, back)
+                    for key in (kept, kept + (fresh,)):
+                        if put(key, child) > child:
+                            into[key] = child
+                    continue
                 # direct transmission
                 if value + price > lim:
                     cut += 1
                 else:
-                    key = (kept + (fresh,), promises)
+                    key = kept + (fresh,)
                     child = (value + price, (back, direct))
-                    if child < get(key, unset):
-                        nxt[key] = child
+                    if put(key, child) > child:
+                        into[key] = child
                 # synthesis from a transmitted left and a promised right
                 for i, entry in enumerate(window):
                     l, users = entry
                     grown = (l, users | bit)
-                    v2 = value + retire(grown) - retire(entry)
-                    rights = range(k + 1, min(M, l + D) + 1)
+                    v2 = (value + (tree(grown) or grow(entry, k))[1]
+                          - trees[entry][1])
                     if v2 > lim:
-                        cut += len(rights)
+                        cut += len(lefts[l])
                         continue
                     j = i - off  # grown's place in kept; -1 once it retires
                     w2 = kept[:j] + (grown,) + kept[j + 1:] if j >= 0 else kept
-                    for r in rights:
-                        key = (w2, promise(promises, r, bit))
-                        child = (v2, (back, (k, (l, r))))
-                        if child < get(key, unset):
-                            nxt[key] = child
-            else:
-                # skip, or transmit speculatively as a future left source
-                # (an undesired view's own tree is empty: no price yet)
-                child = (value, back)
-                for key in ((kept, promises), (kept + (fresh,), promises)):
-                    if child < get(key, unset):
-                        nxt[key] = child
-        if ub is not None:
-            # a state cannot finish below its value plus its promises'
-            # bound; drop it when that exceeds mmdea's optimum
-            drop = [key for key, (value, _) in nxt.items()
-                    if key[1] and value + bound(k, key[1]) > ub]
-            for key in drop:
-                del nxt[key]
-            stats["pruned"] += len(drop)
-        swept += len(nxt)
-        stats["peak"] = max(stats["peak"], len(nxt))
-        if len(nxt) > cap or swept > 10 * cap:
+                    for pick, right in zip(lefts[l], rights):
+                        child = (v2, (back, pick))
+                        if right.setdefault(w2, child) > child:
+                            right[w2] = child
+        for promises, windows in list(nxt.items()):
+            if promises and windows and ub is not None:
+                # a state cannot finish below its value plus its promises'
+                # bound; drop it when that exceeds mmdea's optimum
+                most = ub - _promised_bound(trees, D, h, pts, k, promises)
+                for window in [w for w, (v, _) in windows.items() if v > most]:
+                    del windows[window]
+                    pruned += 1
+            if not windows:
+                del nxt[promises]
+        count = sum(map(len, nxt.values()))
+        swept += count
+        stats["peak"] = max(stats["peak"], count)
+        if count > cap or swept > 10 * cap:
             raise StateSpaceError(
-                f"{len(nxt)} states at column {k} ({swept} since column {m}) "
+                f"{count} states at column {k} ({swept} since column {m}) "
                 f"exceed the cap {cap} ({10 * cap} per segment); "
                 "use a smaller D or raise state_cap")
         states = nxt
     stats["states"] += swept
     stats["cut"] += cut
+    stats["pruned"] += pruned
+    stats["trees"] += len(trees)
 
     if not states:
         raise SolverError(f"every state of segment {m}..{M} was pruned: "
                           "its lower bound exceeds an optimum, so it is unsound")
-    if any(promises for _, promises in states):
+    if any(states):
         raise SolverError("promise outlived the final column")
-    value, back = min(states.values())
+    value, back = min(min(windows.values()) for windows in states.values())
     picks = []
     while back is not None:
         back, pick = back
@@ -223,7 +266,7 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
                    state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
-    stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0}
+    stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "trees": 0}
 
     def solve_one(seg, masks):
         # a non-crossing selection is a crossing-allowed one, so mmdea's

@@ -140,7 +140,7 @@ def _parse_gml(text):
         value = next(pairs, (0, "]"))[1]
         if value == "[":
             if len(stack) == _MAX_NESTING:
-                raise ValueError(f"line {line(-1)}: blocks nested too deeply")
+                raise ValueError(f"line {line(i)}: blocks nested too deeply")
             stack.append((kept, at, fields))
             if key not in kept:
                 kept, fields = (), None  # only its syntax is checked

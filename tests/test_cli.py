@@ -489,7 +489,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # installed command against it.  The first three were made at the parent of
 # the change that added each, and the wide_* files at the parent of a rewrite
 # of mmdea's DP, one per phi mode; emmdea_k12_d6.csv holds emmdea's smallest-
-# chain tie rule, and its totals equal the unpruned sweep's.
+# chain tie rule, and its totals equal the unpruned sweep's;
+# emmdea_k40_d5.csv, emmdea's largest benchmarked shape (about 90,000 states
+# a solve), at the parent of the change that memoised its tree prices.
 EXPECTED_RUNS = {
     "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
     "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
@@ -506,6 +508,8 @@ EXPECTED_RUNS = {
     "headline_gaussian4.csv": dict(views=12, d=5, clients=400,
                                    dist="gaussian:4", samples=20),
     "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,
+                              solvers=("mmdea", "emmdea"), samples=2),
+    "emmdea_k40_d5.csv": dict(views=40, d=5, clients=400,
                               solvers=("mmdea", "emmdea"), samples=2),
     "wide_k100_d16.csv": dict(views=100, d=16, clients=753, samples=2),
     "wide_k100_d16_literal.csv": dict(views=100, d=16, clients=753,

@@ -12,7 +12,7 @@ from mmds import emmdea
 from mmds.cli import SOLVERS as SOLVER_NAMES
 from mmds.cli import main, run_solver
 from mmds.cost import view_masks, view_trees
-from mmds.emmdea import _promised_bound, _retire, _suffix_bounds
+from mmds.emmdea import _Trees, _delivery, _promised_bound, _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
@@ -140,6 +140,8 @@ class TestBranchAndBound:
         literal = solve_extended(tree, demand, 5, "literal").stats
         assert exact["pruned"] > 0 and exact["cut"] > 0
         assert exact["states"] < literal["states"]
+        # each entry a state reaches is priced once; pruning reaches fewer
+        assert 0 < exact["trees"] < literal["trees"]
 
     def test_k12_d6_on_every_client_keeps_few_states(self):
         # unpruned, this instance sweeps about 145,000 states; the bound
@@ -312,6 +314,11 @@ class TestAgainstFrozensetReference:
         self.assert_matches(tree, demand, 5, mode)
 
 
+def exact_price(masks, entry):
+    """An entry's exact-mode price, from scratch."""
+    return _delivery(masks, entry)[0].bit_count()
+
+
 def replayed_states(masks, theta, lo, hi):
     """(k, value, promises) after each column k = lo..hi of a segment's
     exact sweep that assembles `theta`, the segment's selection: each view
@@ -323,8 +330,7 @@ def replayed_states(masks, theta, lo, hi):
     def entry(t, k):
         return (t, sum(1 << p for p in users[t] if p <= k))
     for k in range(lo, hi + 1):
-        value = sum(_retire(masks, "exact", entry(t, k))
-                    for t in users if t <= k)
+        value = sum(exact_price(masks, entry(t, k)) for t in users if t <= k)
         promises = tuple(entry(r, k) for r in sorted(users)
                          if r > k and min(users[r], default=r) <= k)
         yield k, value, promises
@@ -351,15 +357,79 @@ def test_no_bound_puts_an_optimal_state_above_the_optimum(inst):
     _, theta, per_segment = reference_extended(tree, demand, D, "exact")
     for seg, optimum in per_segment:
         h, pts = _suffix_bounds(masks, seg.lo, seg.hi, D)
+        trees = _Trees(masks, "exact")
         theta_seg = {p: pair for p, pair in theta if p in seg.members}
         for k, value, promises in replayed_states(masks, theta_seg, seg.lo,
                                                   seg.hi):
-            priced = sum(_retire(masks, "exact", e) for e in promises)
+            priced = sum(exact_price(masks, e) for e in promises)
             assert value + max(priced, h[k]) <= optimum
             if promises:
-                assert value + _promised_bound(masks, D, h, pts, k,
+                assert value + _promised_bound(trees, D, h, pts, k,
                                                promises) <= optimum
         assert (value, promises) == (optimum, ())
+
+
+# The promised bound as it stood before it read the sweep's memo: each
+# promised tree priced from scratch, and the stabbing greedy run by a
+# generator on a copy of all of `pts`.
+
+def parent_stab(masks, D, pts, top, k, free):
+    for p in range(top, k, -1):
+        here = covered = free.get(p, 0)
+        for q in range(p + 1, p + D):
+            covered |= pts[q]
+        new = masks.get(p, 0) & ~covered
+        pts[p] = new | here
+        yield new.bit_count()
+
+
+def parent_promised_bound(masks, D, h, pts, k, promises):
+    free = {entry[0]: _delivery(masks, entry)[0] for entry in promises}
+    top = promises[-1][0]
+    return (sum(tree.bit_count() for tree in free.values()) + h[top]
+            + sum(parent_stab(masks, D, list(pts), top, k, free)))
+
+
+@given(st.one_of(small_instances(), promise_tree_instances()))
+@example(promise_trees_instance())
+@settings(max_examples=150, deadline=None)
+def test_the_promised_bound_is_the_parents(inst):
+    # on every state the optimal selection passes, the bound read from the
+    # memo equals the one priced from scratch on a copy of the points, and
+    # leaves those points as they were
+    tree, demand, D = inst
+    masks = view_masks(tree, demand)
+    _, theta, per_segment = reference_extended(tree, demand, D, "exact")
+    for seg, _ in per_segment:
+        h, pts = _suffix_bounds(masks, seg.lo, seg.hi, D)
+        points, trees = list(pts), _Trees(masks, "exact")
+        theta_seg = {p: pair for p, pair in theta if p in seg.members}
+        for k, _, promises in replayed_states(masks, theta_seg, seg.lo,
+                                              seg.hi):
+            if promises:
+                assert _promised_bound(trees, D, h, pts, k, promises) == \
+                    parent_promised_bound(masks, D, h, pts, k, promises)
+        assert pts == points
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(small_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_tree_grown_one_user_at_a_time_is_priced_as_from_scratch(mode, inst,
+                                                                   data):
+    tree, demand, D = inst
+    masks = view_masks(tree, demand)
+    view = data.draw(st.integers(1, demand.universe_size))
+    users = data.draw(st.permutations(sorted(masks)))
+    trees, entry = _Trees(masks, mode), (view, 0)
+    for user in users:
+        grown = (view, entry[1] | 1 << user)
+        full, marginal = _delivery(masks, grown)
+        priced = trees.grow(entry, user)
+        assert priced == (full, full.bit_count() if mode == "exact"
+                          else marginal)
+        assert trees[grown] == priced == _Trees(masks, mode)[grown]
+        entry = grown
 
 
 SOLVERS = pytest.mark.parametrize("solve", [solve_general, solve_extended],

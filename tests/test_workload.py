@@ -214,10 +214,11 @@ def ref_tokenize_gml(text):
                 yield tok, ln
 
 
-def ref_read_pairs(tokens, end_line, closed=False):
+def ref_read_pairs(tokens, end_line, depth=0):
+    """The pairs of a block inside `depth` open ones (0: the top level)."""
     pairs = []
     for key, ln in tokens:
-        if key == "]" and closed:
+        if key == "]" and depth:
             return pairs
         if key[0] in '[]"':
             raise ValueError(f"line {ln}: expected a key, got {key}")
@@ -225,11 +226,13 @@ def ref_read_pairs(tokens, end_line, closed=False):
         if value == "]":
             raise ValueError(f"line {ln}: {key} has no value")
         if value == "[":
-            value = ref_read_pairs(tokens, end_line, closed=True)
+            if depth == _MAX_NESTING:
+                raise ValueError(f"line {ln}: blocks nested too deeply")
+            value = ref_read_pairs(tokens, end_line, depth + 1)
         elif value[0] == '"':
             value = value[1:-1]
         pairs.append((key, value, ln))
-    if closed:
+    if depth:
         raise ValueError(f"line {end_line}: unterminated block")
     return pairs
 
@@ -237,10 +240,12 @@ def ref_read_pairs(tokens, end_line, closed=False):
 def ref_parse_gml(text):
     tokens = list(ref_tokenize_gml(text))
     end_line = tokens[-1][1] if tokens else 1
+    limit = sys.getrecursionlimit()  # one frame per open block
+    sys.setrecursionlimit(max(limit, 2 * _MAX_NESTING))
     try:
         top = ref_read_pairs(iter(tokens), end_line)
-    except RecursionError:
-        raise ValueError(f"line {end_line}: blocks nested too deeply") from None
+    finally:
+        sys.setrecursionlimit(limit)
     declared, labels, edges = [], {}, []
     for key, graph, ln in top:
         if key != "graph":
@@ -440,6 +445,15 @@ def test_nesting_past_the_bound_is_a_parse_error():
     assert parse_topology(io.StringIO(nested_gml(_MAX_NESTING))).nodes == {1}
     with pytest.raises(ValueError, match="^line 2: blocks nested too deeply$"):
         parse_topology(io.StringIO(nested_gml(_MAX_NESTING + 1)))
+
+
+def test_nesting_error_names_the_line_that_crosses_the_bound():
+    # the 1,001st block opens on line 2; the text's last token is 1,001
+    # lines further down
+    text = nested_gml(_MAX_NESTING + 1).replace("] ", "\n]")
+    assert text.count("\n") == _MAX_NESTING + 2
+    for parse in (new_gml, ref_parse_gml):
+        assert gml_outcome(parse, text) == "line 2: blocks nested too deeply"
 
 
 def test_trailing_blanks_parse_in_linear_time():
