@@ -19,7 +19,6 @@ import pickle
 import signal
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -57,11 +56,12 @@ CSV_COLUMNS = ("topology", "views", "clients", "dist", "d", "phi", "samples",
 REFUSALS = (OracleGuardError, StateSpaceError)  # exit 2, or an error row
 # How `main` ends a command that raised: the first entry whose classes
 # match gives the exit code and the stderr prefix ({} takes the class
-# name).  Order matters: OracleGuardError is a ValueError.
+# name).  Order matters: OracleGuardError is a ValueError, and
+# ChildProcessError, raised when a forked child dies, an OSError.
 OUTCOMES = (
     (KeyboardInterrupt, 130, "interrupted"),  # 128 + SIGINT, as a shell has it
     (REFUSALS, 2, "refused: "),
-    (BrokenProcessPool, 3, "error: worker pool failed: "),
+    (ChildProcessError, 3, "error: worker pool failed: "),
     (SolverError, 3, "internal error: "),
     ((ValueError, OSError), 1, "error: "),
     (Exception, 3, "internal error: {}: "),
@@ -265,7 +265,7 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(pid).close()
             if code:  # also when it died part way through its pickle
-                raise BrokenProcessPool(f"child {pid} exited with {code}")
+                raise ChildProcessError(f"child {pid} exited with {code}")
             per_sample[c::workers] = pickle.loads(data)
     finally:
         for pid, pipe in children.items():

@@ -11,8 +11,12 @@ holds a ``(view, users)`` pair per transmitted view in the trailing
 window, in view order; ``promises`` a ``(r, users)`` pair per view
 promised as a future right source, in ``r`` order; ``users`` is an int
 with bit ``p`` set for each desired view ``p`` synthesized from that
-source.  A transmitted view's retire price is its full delivery tree for
-its users so far.  One memo per segment maps each ``(view, users)`` entry
+source.  An undesired view that is not promised is always transmitted, as
+a possible left source: its own tree is empty, so this costs nothing until
+a user joins, and once it leaves the window unused its state is the one
+skipping it would give, so the sweep never branches on skipping it.  A
+transmitted view's retire price is its full delivery tree for its users
+so far.  One memo per segment maps each ``(view, users)`` entry
 to its tree and price: a fresh or promised entry is priced from scratch
 once, and a window entry grown by user k from the entry it grew from, in
 O(1): the tree gains k's, and the literal / per_view price k's marginal
@@ -193,22 +197,17 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
                     if put(key, child) > child:
                         into[key] = child
                     continue
-                if not wanted:
-                    # skip, or transmit speculatively as a future left
-                    # source (an undesired view's own tree is empty)
-                    child = (value, back)
-                    for key in (kept, kept + (fresh,)):
-                        if put(key, child) > child:
-                            into[key] = child
-                    continue
-                # direct transmission
+                # direct transmission; an undesired view's is free and
+                # covers skipping it
                 if value + price > lim:
                     cut += 1
                 else:
                     key = kept + (fresh,)
-                    child = (value + price, (back, direct))
+                    child = (value + price, (back, direct) if wanted else back)
                     if put(key, child) > child:
                         into[key] = child
+                if not wanted:
+                    continue
                 # synthesis from a transmitted left and a promised right
                 for i, entry in enumerate(window):
                     l, users = entry

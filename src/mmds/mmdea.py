@@ -4,8 +4,11 @@ Per maximal segment of the desired views, a dynamic program sweeps the
 integer view columns m..M.  A column variant d records how view v_k is
 used: d = 0 means v_k serves only its own subscribers; d >= 2 means v_k
 and the anchor view v_{k-d} are both transmitted and every desired view
-strictly between them is synthesized from that pair.  Backtracking over
-the stored argmin choices recovers the optimal selection.
+strictly between them is synthesized from that pair.  A variant d >= 2
+with no desired view between its anchors is never filled: it synthesizes
+nothing, so it is variant 0's jump from v_{k-d} at a price no lower, and
+variant 0 wins every tie.  Backtracking over the stored argmin choices
+recovers the optimal selection.
 
 Three ways of pricing a synthesis step are supported:
 
@@ -62,9 +65,10 @@ class CostTable:
     the first column and in an infeasible cell; joint is the union of the
     view trees strictly between the anchors (0 for d = 0), so the cell's
     anchor tree is mask(k) | joint.  A cell off its column's staircase is
-    DROPPED, so every variant keeps one cell.  `cells` counts the cells
-    filled, `prices` the exact-mode popcounts against a staircase entry's
-    tree and `cut` the variants the lower bound left unpriced."""
+    DROPPED, so every variant keeps one cell.  `cells` counts those cells,
+    DROPPED ones included, `prices` the exact-mode popcounts against a
+    staircase entry's tree and `cut` the variants the lower bound left
+    unpriced."""
     segment: Segment
     desired: frozenset
     columns: dict = field(default_factory=dict)
@@ -112,19 +116,15 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
             col[d] = DROPPED  # until the variant joins the staircase
             a = k - d
             cands = ranked[a]
-            if not cands:
+            if not cands or a >= last:  # a >= last: variant 0's jump from a
                 continue
             # a price that is the same for every predecessor variant j goes
             # to the head of the staircase; exact mode adds |joint - tree_j|
             head, j, _ = cands[0]
             joint = joints[d - 2]
-            if a >= last:  # no desired view between the anchors
-                if k not in desired:
-                    continue
-                price = head + ck
-            elif (head + ck > low
-                  or head + (base := ck + (nj := joint.bit_count())
-                             - (joint & mk).bit_count()) > low):
+            if (head + ck > low
+                    or head + (base := ck + (nj := joint.bit_count())
+                               - (joint & mk).bit_count()) > low):
                 # |joint - tree_j| >= 0, so the price would exceed low too
                 cut += 1
                 continue

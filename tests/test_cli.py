@@ -491,7 +491,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # of mmdea's DP, one per phi mode; emmdea_k12_d6.csv holds emmdea's smallest-
 # chain tie rule, and its totals equal the unpruned sweep's;
 # emmdea_k40_d5.csv, emmdea's largest benchmarked shape (about 90,000 states
-# a solve), at the parent of the change that memoised its tree prices.
+# a solve), at the parent of the change that memoised its tree prices; the
+# gapped_* files, whose samples hold 3-6 undesired views inside segments, at
+# the parent of the change that stopped both exact solvers searching a
+# selection twice across such a view.
 EXPECTED_RUNS = {
     "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
     "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
@@ -516,6 +519,13 @@ EXPECTED_RUNS = {
                                       phi="literal", samples=2),
     "wide_k100_d16_per_view.csv": dict(views=100, d=16, clients=753,
                                        phi="per_view", samples=2),
+    "gapped_zipf1.csv": dict(views=24, d=4, clients=60, dist="zipf:1",
+                             solvers=("omds", "mmdea", "emmdea", "hmmdea"),
+                             samples=8),
+    "gapped_zipf1_literal.csv": dict(views=24, d=4, clients=60,
+                                     dist="zipf:1", phi="literal",
+                                     solvers=("omds", "mmdea", "emmdea",
+                                              "hmmdea"), samples=8),
 }
 
 
@@ -836,6 +846,16 @@ def test_importing_the_cli_loads_numpy_random():
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", "import sys, mmds.cli; "
                     "sys.exit('numpy.random' not in sys.modules)"],
+                   env=dict(os.environ, PYTHONPATH=src), check=True)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the forked runner needs os.fork alone; an executor's import would pull
+    # in multiprocessing and queue
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", "import sys, mmds.cli; sys.exit("
+                    "sorted({'concurrent.futures', 'multiprocessing'}"
+                    " & set(sys.modules)) or None)"],
                    env=dict(os.environ, PYTHONPATH=src), check=True)
 
 

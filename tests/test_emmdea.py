@@ -143,6 +143,15 @@ class TestBranchAndBound:
         # each entry a state reaches is priced once; pruning reaches fewer
         assert 0 < exact["trees"] < literal["trees"]
 
+    def test_an_undesired_view_is_never_skipped(self):
+        # view 5 is undesired inside segment 2..8: it is transmitted, for
+        # free, as a possible left source, and never also skipped
+        tree, demand = demo_instance()
+        exact = solve_extended(tree, demand, 4).stats
+        literal = solve_extended(tree, demand, 4, "literal").stats
+        assert (exact["states"], exact["peak"]) == (17, 5)
+        assert literal["states"] == 138
+
     def test_k12_d6_on_every_client_keeps_few_states(self):
         # unpruned, this instance sweeps about 145,000 states; the bound
         # keeps 34

@@ -324,7 +324,7 @@ def reference_table(masks, seg, D, mode):
             if a + 1 in desired:
                 between.append(a + 1)
                 joint |= masks[a + 1]
-            if not between and k not in desired:
+            if not between:
                 col[d] = (INFEASIBLE, None, joint)
                 continue
             best = None
@@ -489,6 +489,27 @@ class TestStaircase:
         tree, demand = bundled_instance(DemandDistribution("uniform", 100),
                                         2024, clients=753)
         self.assert_bounded(tree, demand, 16)
+
+
+class TestNoSynthesisNoVariant:
+    """An anchor variant with no desired view between its anchors
+    synthesizes nothing: it is variant 0's jump from its anchor at a price
+    no lower, so it is never filled and keeps the DROPPED cell."""
+
+    @pytest.mark.parametrize("mode", PHI_MODES)
+    def test_random_trees(self, rng, mode):
+        at_desired = 0
+        for _ in range(200):
+            tree, demand = random_tree_instance(rng)
+            for D in range(2, 8):
+                for seg in segment_views(demand, D):
+                    table = solve_segment(tree, demand, seg, D, mode)[2]
+                    for k, d in anchor_variants(seg, D):
+                        if not any(v in table.desired
+                                   for v in range(k - d + 1, k)):
+                            assert table.columns[k][d] == DROPPED
+                            at_desired += k in table.desired
+        assert at_desired > 0
 
 
 class TestSolveStats:
