@@ -16,9 +16,10 @@ a possible left source: its own tree is empty, so this costs nothing until
 a user joins, and once it leaves the window unused its state is the one
 skipping it would give, so the sweep never branches on skipping it.  A
 transmitted view's retire price is its full delivery tree for its users
-so far.  One memo per segment maps each ``(view, users)`` entry
-to its tree and price: a fresh or promised entry is priced from scratch
-once, and a window entry grown by user k from the entry it grew from, in
+so far.  One memo per segment maps each ``(view, users)`` entry to its
+tree and price, and is the sweep's only pricing path: ``(view, 0)`` is
+the view's own tree, and any other entry the entry without its newest
+user k (the one it grew from, as users join in column order) grown in
 O(1): the tree gains k's, and the literal / per_view price k's marginal
 against the view's own tree.  A state's value is the retire prices of
 every view transmitted so far, window entries included at their current
@@ -49,9 +50,13 @@ per_view prices need not telescope, so those modes prune nothing.
 ``peak`` column, the children ``cut``, the states ``pruned`` and the
 delivery ``trees`` priced (the memos' sizes).
 
-A segment is refused (``StateSpaceError``) past ``state_cap`` kept states
-in one column or ten times that summed over its columns.  The sweep runs
-per segment under ``cost.solve_by_segment``, which certifies the result.
+A segment is refused (``StateSpaceError``) past ``STATE_CAP`` kept states
+in one column or ten times that summed over its columns.  A segment
+m..M is swept with D at most M - m + 2: at that width every window
+already reaches past M and none starts below m, so a wider D changes
+nothing, and the sweep's work is bounded by the segment, not by D.  The
+sweep runs per segment under ``cost.solve_by_segment``, which certifies
+the result.
 """
 
 from __future__ import annotations
@@ -63,52 +68,36 @@ from .cost import SolveResult, SolverError, solve_by_segment
 from .graphs import DemandMap, ShortestPathTree
 from .mmdea import solve_segment
 
-DEFAULT_STATE_CAP = 200_000
+STATE_CAP = 200_000
 
 
 class StateSpaceError(RuntimeError):
     """Reachable state set exceeded the configured cap."""
 
 
-def _delivery(masks, entry):
-    """A transmitted view's delivery tree for its users so far (its own tree
-    OR theirs, a view bitmask) and its own tree's size plus each user's
-    marginal against it; ``entry`` is its ``(view, users)`` pair."""
-    view, users = entry
-    own = masks.get(view, 0)
-    full, marginal = own, own.bit_count()
-    while users:
-        low = users & -users
-        users ^= low
-        user = masks[low.bit_length() - 1]
-        full |= user
-        marginal += (user & ~own).bit_count()
-    return full, marginal
-
-
 class _Trees(dict):
     """A segment's memo from each transmitted view's ``(view, users)`` entry
-    to its delivery tree and its price: a fresh or promised entry is priced
-    from scratch when first read, a grown one by `grow`."""
+    to its delivery tree and its price, priced when first read: ``(view, 0)``
+    as the view's own tree, any other entry as the one without its newest
+    user (the entry it grew from) grown by that user."""
 
     def __init__(self, masks, mode):
         super().__init__()
         self.masks, self.exact = masks, mode == "exact"
 
     def __missing__(self, entry):
-        full, marginal = _delivery(self.masks, entry)
-        # literal / per_view: closed-form marginals against the view's own tree
-        priced = self[entry] = full, full.bit_count() if self.exact else marginal
-        return priced
-
-    def grow(self, entry, k):
-        """``entry`` with user k added, priced in O(1) from ``entry``'s item."""
-        (view, users), (full, price) = entry, self[entry]
-        user = self.masks[k]
-        full |= user
-        price = (full.bit_count() if self.exact
-                 else price + (user & ~self.masks.get(view, 0)).bit_count())
-        priced = self[view, users | 1 << k] = full, price
+        view, users = entry
+        own = self.masks.get(view, 0)
+        full, price = own, own.bit_count()
+        if users:
+            k = users.bit_length() - 1
+            full, price = self[view, users ^ 1 << k]
+            user = self.masks[k]
+            full |= user
+            # literal / per_view: closed-form marginals against the own tree
+            price = (full.bit_count() if self.exact
+                     else price + (user & ~own).bit_count())
+        priced = self[entry] = full, price
         return priced
 
 
@@ -152,9 +141,9 @@ def _promised_bound(trees, D, h, pts, k, promises):
     return bound + sum(_stab(trees.masks, D, near, k))
 
 
-def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
+def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
+    D = min(D, M - m + 2)  # a wider D changes no window: each spans m..M
     trees = _Trees(masks, mode)
-    tree, grow = trees.get, trees.grow
     if ub is not None:
         h, pts = _suffix_bounds(masks, m, M, D)
     states = {(): {(): (0, None)}}  # promises -> window -> (value, back)
@@ -163,7 +152,7 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
         nxt = {}
         group = nxt.setdefault
         bit, fresh, direct, gone = 1 << k, (k, 0), (k, (k, k)), k - D + 1
-        price, wanted = trees[fresh][1], k in desired
+        wanted = k in desired
         # each usable left view's picks, one per right source
         lefts = {l: [(k, (l, r)) for r in range(k + 1, min(M, l + D) + 1)]
                  for l in range(gone, k)}
@@ -179,6 +168,10 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
             due = promises and promises[0][0] == k
             into = group(promises[1:] if due else promises, {})
             put = into.setdefault
+            # view k is transmitted: to the users it was promised to, or
+            # directly (an undesired view's is free and covers skipping it)
+            sent = promises[0] if due else fresh
+            price = trees[sent][1]
             if wanted and not due:
                 # by right source r = k+1..: the windows of the promise set
                 # that adds user k to r, where children synthesized from r go
@@ -190,30 +183,20 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
                 # the view leaving the usable-left window retires
                 off = 1 if window and window[0][0] == gone else 0
                 kept = window[off:]
-                if due:  # the promised view is transmitted
-                    key = kept + (promises[0],)
-                    child = (value + trees[promises[0]][1],
-                             (back, direct) if wanted else back)
-                    if put(key, child) > child:
-                        into[key] = child
-                    continue
-                # direct transmission; an undesired view's is free and
-                # covers skipping it
-                if value + price > lim:
+                if value + price > lim and not due:
                     cut += 1
                 else:
-                    key = kept + (fresh,)
+                    key = kept + (sent,)
                     child = (value + price, (back, direct) if wanted else back)
                     if put(key, child) > child:
                         into[key] = child
-                if not wanted:
+                if due or not wanted:
                     continue
                 # synthesis from a transmitted left and a promised right
                 for i, entry in enumerate(window):
                     l, users = entry
                     grown = (l, users | bit)
-                    v2 = (value + (tree(grown) or grow(entry, k))[1]
-                          - trees[entry][1])
+                    v2 = value + trees[grown][1] - trees[entry][1]
                     if v2 > lim:
                         cut += len(lefts[l])
                         continue
@@ -236,11 +219,11 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
         count = sum(map(len, nxt.values()))
         swept += count
         stats["peak"] = max(stats["peak"], count)
-        if count > cap or swept > 10 * cap:
+        if count > STATE_CAP or swept > 10 * STATE_CAP:
             raise StateSpaceError(
                 f"{count} states at column {k} ({swept} since column {m}) "
-                f"exceed the cap {cap} ({10 * cap} per segment); "
-                "use a smaller D or raise state_cap")
+                f"exceed the cap {STATE_CAP} ({10 * STATE_CAP} per segment); "
+                "use a smaller D")
         states = nxt
     stats["states"] += swept
     stats["cut"] += cut
@@ -261,8 +244,7 @@ def _solve_segment(masks, desired, m, M, D, mode, cap, ub, stats):
 
 
 def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
-                   mode: str = "exact",
-                   state_cap: int = DEFAULT_STATE_CAP) -> SolveResult:
+                   mode: str = "exact") -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
     stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "trees": 0}
@@ -273,7 +255,7 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
         ub = (solve_segment(tree, demand, seg, D, "exact")[0]
               if mode == "exact" else None)
         return _solve_segment(masks, frozenset(seg.members), seg.lo, seg.hi,
-                              D, mode, state_cap, ub, stats)
+                              D, mode, ub, stats)
 
     return solve_by_segment("emmdea", tree, demand, D, solve_one, mode,
                             crossing_allowed=True, stats=stats)

@@ -187,6 +187,8 @@ def parse_topology(source, fmt: str = "gml",
             a, b = _node_id(a), _node_id(b)
             nodes.update((a, b))
             raw_edges.append((a, b, ln))
+        if not raw_edges:
+            raise ValueError("edge list holds no edge")
         line = int  # an edge list's positions are its line numbers
         _one_id_kind(((n, ln) for a, b, ln in raw_edges for n in (a, b)), line)
     else:

@@ -7,18 +7,16 @@ import signal
 import subprocess
 import sys
 import time
-from functools import partial
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmds import cli
+from mmds import cli, emmdea
 from mmds.cli import (CSV_COLUMNS, ScenarioConfig, build_parser, main,
                       run_scenario, write_csv)
 from mmds.cost import SolverError
-from mmds.emmdea import solve_extended
 from mmds.instances import DEMO_DEMAND, demo_graph
 from mmds.workload import (generate_topology, parse_topology, write_edges,
                            zipf_pmf, zipf_rank_to_view)
@@ -494,7 +492,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # a solve), at the parent of the change that memoised its tree prices; the
 # gapped_* files, whose samples hold 3-6 undesired views inside segments, at
 # the parent of the change that stopped both exact solvers searching a
-# selection twice across such a view.
+# selection twice across such a view, apart from gapped_zipf1_per_view.csv,
+# made at the parent of the change that left emmdea one way to price a
+# delivery tree.
 EXPECTED_RUNS = {
     "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
     "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
@@ -526,6 +526,10 @@ EXPECTED_RUNS = {
                                      dist="zipf:1", phi="literal",
                                      solvers=("omds", "mmdea", "emmdea",
                                               "hmmdea"), samples=8),
+    "gapped_zipf1_per_view.csv": dict(views=24, d=4, clients=60,
+                                      dist="zipf:1", phi="per_view",
+                                      solvers=("omds", "mmdea", "emmdea",
+                                               "hmmdea"), samples=8),
 }
 
 
@@ -641,7 +645,7 @@ def test_interrupt_in_the_callers_share_leaves_no_child(monkeypatch):
 # Runs a long scenario with one forked child and prints the child's pid.
 FORK_ANNOUNCING = """
 import os, signal, sys
-from mmds import cli
+from mmds import cli, emmdea
 fork = os.fork
 def announce():
     pid = fork()
@@ -820,8 +824,7 @@ def test_out_is_opened_before_any_sample(tmp_path, monkeypatch, capsys):
 
 
 def test_emmdea_refusal_in_a_run_is_an_error_row(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "solve_extended", partial(solve_extended,
-                                                       state_cap=1))
+    monkeypatch.setattr(emmdea, "STATE_CAP", 1)
     path = tmp_path / "rows.csv"
     code, out, err = run_cli(capsys, "run", "--topology", KDL_PATH,
                              "--views", "24", "--d", "4", "--clients", "40",
@@ -836,7 +839,7 @@ def test_emmdea_refusal_in_a_run_is_an_error_row(tmp_path, monkeypatch, capsys):
     assert rows["emmdea"]["status"] == "error"
     assert re.fullmatch(r"\d+ states at column \d+ \(\d+ since column \d+\) "
                         r"exceed the cap 1 \(10 per segment\); use a smaller "
-                        r"D or raise state_cap", rows["emmdea"]["error"])
+                        r"D", rows["emmdea"]["error"])
     for solver in ("omds", "mmdea", "hmmdea"):
         assert rows[solver]["status"] == "ok", solver
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -12,7 +13,7 @@ from mmds import emmdea
 from mmds.cli import SOLVERS as SOLVER_NAMES
 from mmds.cli import main, run_solver
 from mmds.cost import view_masks, view_trees
-from mmds.emmdea import _Trees, _delivery, _promised_bound, _suffix_bounds
+from mmds.emmdea import _Trees, _promised_bound, _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
@@ -89,10 +90,11 @@ class TestSolveExtended:
                                       crossing_allowed=True) == []
             assert res.evaluated == res.total
 
-    def test_state_cap_raises_explicitly(self):
+    def test_state_cap_raises_explicitly(self, monkeypatch):
         tree, demand = demo_instance()
-        with pytest.raises(StateSpaceError, match="smaller D"):
-            solve_extended(tree, demand, 4, state_cap=2)
+        monkeypatch.setattr(emmdea, "STATE_CAP", 2)
+        with pytest.raises(StateSpaceError, match="smaller D$"):
+            solve_extended(tree, demand, 4)
 
     def test_literal_mode_never_undercharges(self, rng):
         for _ in range(40):
@@ -100,7 +102,7 @@ class TestSolveExtended:
             res = solve_extended(tree, demand, 3, mode="literal")
             assert res.total >= res.evaluated
 
-    def test_summed_states_refuse_a_long_segment(self):
+    def test_summed_states_refuse_a_long_segment(self, monkeypatch):
         # 24 desired views, one client each on its own leaf: unpruned, no
         # column holds more than 19 states, but the 24 columns sum to over
         # 190, so at a cap of 19 only the per-segment budget (10 x the cap)
@@ -109,18 +111,21 @@ class TestSolveExtended:
         tree = ShortestPathTree(0, {v: 0 for v in range(1, K + 1)},
                                 range(1, K + 1))
         demand = DemandMap({v: v for v in range(1, K + 1)}, K)
-        assert solve_extended(tree, demand, 3, "literal",
-                              state_cap=40).total == K
+        monkeypatch.setattr(emmdea, "STATE_CAP", 40)
+        assert solve_extended(tree, demand, 3, "literal").total == K
+        monkeypatch.setattr(emmdea, "STATE_CAP", 19)
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3, "literal", state_cap=19)
+            solve_extended(tree, demand, 3, "literal")
         assert str(refused.value).startswith("19 states at column 13 "
                                              "(194 since column 1)")
         # exact mode prunes against mmdea's optimum (24): one state a
         # column is kept, 24 in all, so a cap of 2 (20 per segment) is
         # again refused by the summed budget alone
-        assert solve_extended(tree, demand, 3, state_cap=3).total == K
+        monkeypatch.setattr(emmdea, "STATE_CAP", 3)
+        assert solve_extended(tree, demand, 3).total == K
+        monkeypatch.setattr(emmdea, "STATE_CAP", 2)
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3, state_cap=2)
+            solve_extended(tree, demand, 3)
         assert str(refused.value).startswith("1 states at column 21 "
                                              "(21 since column 1)")
 
@@ -149,8 +154,24 @@ class TestBranchAndBound:
         tree, demand = demo_instance()
         exact = solve_extended(tree, demand, 4).stats
         literal = solve_extended(tree, demand, 4, "literal").stats
-        assert (exact["states"], exact["peak"]) == (17, 5)
-        assert literal["states"] == 138
+        assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 30)
+        assert (literal["states"], literal["trees"]) == (138, 64)
+
+    def test_a_d_wider_than_the_segment_costs_what_the_segment_does(self):
+        # the demo's one segment spans views 2..8, so no D past 8 changes a
+        # window; D=10**5 solves as D=8 does, with no D-sized work
+        tree, demand = demo_instance()
+        for mode in MODES:
+            want = solve_extended(tree, demand, 8, mode)
+            tracemalloc.start()
+            try:
+                got = solve_extended(tree, demand, 10**5, mode)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (got.total, got.evaluated, got.theta, got.stats) == \
+                (want.total, want.evaluated, want.theta, want.stats)
+            assert peak <= 5 * 2**20
 
     def test_k12_d6_on_every_client_keeps_few_states(self):
         # unpruned, this instance sweeps about 145,000 states; the bound
@@ -323,6 +344,23 @@ class TestAgainstFrozensetReference:
         self.assert_matches(tree, demand, 5, mode)
 
 
+def _delivery(masks, entry):
+    """A transmitted view's delivery tree for its users so far (its own tree
+    OR theirs, a view bitmask) and its own tree's size plus each user's
+    marginal against it, priced from scratch; ``entry`` is its ``(view,
+    users)`` pair.  The memo must price every entry as this does."""
+    view, users = entry
+    own = masks.get(view, 0)
+    full, marginal = own, own.bit_count()
+    while users:
+        low = users & -users
+        users ^= low
+        user = masks[low.bit_length() - 1]
+        full |= user
+        marginal += (user & ~own).bit_count()
+    return full, marginal
+
+
 def exact_price(masks, entry):
     """An entry's exact-mode price, from scratch."""
     return _delivery(masks, entry)[0].bit_count()
@@ -429,16 +467,15 @@ def test_a_tree_grown_one_user_at_a_time_is_priced_as_from_scratch(mode, inst,
     tree, demand, D = inst
     masks = view_masks(tree, demand)
     view = data.draw(st.integers(1, demand.universe_size))
+    # any order: an entry whose newest user is not the one just added is
+    # priced from an entry the memo has not read yet
     users = data.draw(st.permutations(sorted(masks)))
-    trees, entry = _Trees(masks, mode), (view, 0)
+    trees, grown = _Trees(masks, mode), 0
     for user in users:
-        grown = (view, entry[1] | 1 << user)
-        full, marginal = _delivery(masks, grown)
-        priced = trees.grow(entry, user)
-        assert priced == (full, full.bit_count() if mode == "exact"
-                          else marginal)
-        assert trees[grown] == priced == _Trees(masks, mode)[grown]
-        entry = grown
+        grown |= 1 << user
+        full, marginal = _delivery(masks, (view, grown))
+        assert trees[view, grown] == (full, full.bit_count() if mode == "exact"
+                                      else marginal)
 
 
 SOLVERS = pytest.mark.parametrize("solve", [solve_general, solve_extended],

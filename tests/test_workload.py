@@ -531,6 +531,11 @@ class TestParseEdges:
         with pytest.raises(ValueError, match="^line 2: expected 'a b'"):
             parse_topology(io.StringIO("# only a comment\n1 # 2\n"), "edges")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_an_edge_list_with_no_edge_is_refused(self, text):
+        with pytest.raises(ValueError, match="^edge list holds no edge$"):
+            parse_topology(io.StringIO(text), "edges")
+
     @pytest.mark.parametrize("text, message", [
         ("1 a\n", "line 1: node ids 1 and 'a'"),
         ("a b\nb c\n# 7\n\nc 7\n", "line 5: node ids 'a' and 7")])
