@@ -63,25 +63,17 @@ class NetworkGraph:
         return self._adj[n]
 
     @cached_property
-    def spt_parents(self) -> dict:
-        """Each reachable non-server node's parent in every shortest-path
-        tree: its smallest-identifier neighbour one hop nearer the server.
-        Computed on first use, once per graph."""
-        dist = self.dist
-        return {n: min(m for m in self._adj[n] if dist[m] == d - 1)
-                for n, d in dist.items() if d}
-
-    @cached_property
     def spt(self) -> ShortestPathTree:
-        """The shortest-path tree over `spt_parents` to every reachable
-        non-server node, taken in (distance, `repr`) order, so arc i is
-        the arc into the i-th node in that order.  `build_spt` cuts it
-        down to a sample's terminals.  Built on first use, once per
-        graph."""
+        """The shortest-path tree to every reachable non-server node, taken
+        in (distance, `repr`) order, so arc i is the arc into the i-th node
+        in that order.  Each node's parent is its smallest-identifier
+        neighbour one hop nearer the server.  `build_spt` cuts it down to a
+        sample's terminals.  Built on first use, once per graph."""
         dist = self.dist
-        order = sorted((n for n, d in dist.items() if d),
-                       key=lambda n: (dist[n], repr(n)))
-        return ShortestPathTree(self.server, self.spt_parents, order)
+        parents = {n: min(m for m in self._adj[n] if dist[m] == d - 1)
+                   for n, d in dist.items() if d}
+        order = sorted(parents, key=lambda n: (dist[n], repr(n)))
+        return ShortestPathTree(self.server, parents, order)
 
     @property
     def node_count(self):
@@ -187,7 +179,7 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     """Breadth-first shortest-path tree from the server to the terminals.
 
     Equal-distance parent candidates are broken by smallest node
-    identifier (`NetworkGraph.spt_parents`), so identical inputs always
+    identifier (see `NetworkGraph.spt`), so identical inputs always
     produce identical trees.  The tree is the graph's own (`graph.spt`)
     cut down to the terminals, in their order: its `parents` is the whole
     parent map and its masks use the graph tree's arc numbering, but its

@@ -117,6 +117,7 @@ def _parse_gml(text):
     # The innermost open block (at first the top level): the keys of the
     # blocks kept in it, its key's index, and a node or edge block's fields.
     kept, at, fields, stack = ("graph",), -1, None, []
+    opened = None  # the first top-level graph key's index
     pairs = enumerate(tokens)
     for i, key in pairs:
         if key == "]" and stack:
@@ -146,6 +147,7 @@ def _parse_gml(text):
                 kept, fields = (), None  # only its syntax is checked
             elif key == "graph":
                 kept, fields = ("node", "edge"), None
+                opened = i if opened is None else opened
             else:
                 kept, fields = (), {}
             at = i
@@ -161,7 +163,8 @@ def _parse_gml(text):
     if error:
         raise ValueError(error)
     if not declared:
-        raise ValueError("line 1: no 'graph [ ... ]' block found")
+        raise ValueError("line 1: no 'graph [ ... ]' block found" if opened is None
+                         else f"line {line(opened)}: graph block holds no node")
     _one_id_kind(declared, line)
     return {nid for nid, _ in declared}, labels, edges
 

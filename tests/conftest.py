@@ -1,14 +1,21 @@
-"""Shared helpers: random instance generation and independent oracles."""
+"""Shared helpers: random instance generation, independent oracles and
+the outputs of one script under several string-hash seeds."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import mmds
 from mmds import DemandMap, ShortestPathTree, build_spt, parse_topology
-from mmds.workload import sample_demand
+from mmds.instances import demo_graph
+from mmds.workload import sample_demand, write_edges
 
 
 def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
@@ -113,3 +120,58 @@ def bfs_distances(adjacency, source):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+# Prints what must not follow string hashing: the demo tree's arc order,
+# hmmdea's arc loads and the path masks; the nodes kept of three tied
+# components, the one holding the smallest id; and four commands' output
+# with runtime_ms cut.  The edge-list run places clients on named nodes.
+HASH_SEED_SCRIPT = """
+import csv, io, sys, warnings
+from contextlib import redirect_stdout
+from mmds import cli, demo_instance, edge_view_loads, h_solve, parse_topology
+warnings.simplefilter("ignore")
+tmp = sys.argv[1]
+tree, demand = demo_instance()
+result = h_solve(tree, demand, 4)
+print(tree.arc_list)
+print(list(edge_view_loads(tree, demand, result.theta)))
+print([(t, sorted(tree.arcs_of(tree.path_mask[t]))) for t in tree.path_mask])
+print(sorted(parse_topology(f"{tmp}/tied.edges", "edges",
+                            largest_component=True).nodes))
+for argv in [
+        "run --preset demo --d 4 "
+        "--solver omds,mmdea,emmdea,hmmdea,oracle,oracle-ext",
+        "run --gen 60,80 --views 8 --clients 20 --d 3 --samples 3 --seed 5 "
+        "--solver omds,mmdea,emmdea,hmmdea",
+        f"run --topology {tmp}/demo.edges --format edges --views 8 "
+        "--clients 5 --d 4 --samples 2",
+        f"solve --topology {tmp}/tied.edges --format edges "
+        f"--largest-component --demand {tmp}/tied.demand --d 2"]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv.split()) == 0
+    text = out.getvalue()
+    if argv.startswith("run"):  # runtime_ms is field 16
+        text = [row[:15] + row[16:] for row in csv.reader(io.StringIO(text))]
+    print(text)
+"""
+
+
+@pytest.fixture(scope="session")
+def hash_seed_outputs(tmp_path_factory):
+    """The set of HASH_SEED_SCRIPT's outputs under PYTHONHASHSEED 0..5; the
+    tests that read it run the script once between them."""
+    tmp = tmp_path_factory.mktemp("hash_seed")
+    write_edges(demo_graph(), tmp / "demo.edges")
+    (tmp / "tied.edges").write_text("e f\nc d\na b\n")
+    (tmp / "tied.demand").write_text("b 1\n")
+    src = str(Path(mmds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        outputs.add(subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(tmp)], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    return outputs

@@ -483,10 +483,10 @@ class TestSampleDraw:
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# Each committed CSV is `mmds run` with runtime_ms cut; CI diffs the
-# installed command against it.  The first three were made at the parent of
-# the change that added each, and the wide_* files at the parent of a rewrite
-# of mmdea's DP, one per phi mode; emmdea_k12_d6.csv holds emmdea's smallest-
+# Each committed CSV is the output of `mmds GOLDEN_HEAD` with its arguments,
+# runtime_ms (field 16) cut.  The first three were made at the parent of the
+# change that added each, and the wide_* files at the parent of a rewrite of
+# mmdea's DP, one per phi mode; emmdea_k12_d6.csv holds emmdea's smallest-
 # chain tie rule, and its totals equal the unpruned sweep's;
 # emmdea_k40_d5.csv, emmdea's largest benchmarked shape (about 90,000 states
 # a solve), at the parent of the change that memoised its tree prices; the
@@ -494,55 +494,55 @@ ROOT = Path(__file__).resolve().parent.parent
 # the parent of the change that stopped both exact solvers searching a
 # selection twice across such a view, apart from gapped_zipf1_per_view.csv,
 # made at the parent of the change that left emmdea one way to price a
-# delivery tree.
-EXPECTED_RUNS = {
-    "headline_uniform.csv": dict(views=12, d=5, clients=400, samples=20),
-    "relaxed_zipf1.csv": dict(views=24, d=4, clients=400, dist="zipf:1",
-                              solvers=("omds", "mmdea", "emmdea", "hmmdea"),
-                              samples=4),
-    "relaxed_zipf1_literal.csv": dict(views=24, d=4, clients=400,
-                                      dist="zipf:1", phi="literal",
-                                      solvers=("omds", "mmdea", "emmdea",
-                                               "hmmdea"), samples=4),
-    "relaxed_zipf1_per_view.csv": dict(views=24, d=4, clients=400,
-                                       dist="zipf:1", phi="per_view",
-                                       solvers=("omds", "mmdea", "emmdea",
-                                                "hmmdea"), samples=4),
-    "headline_gaussian4.csv": dict(views=12, d=5, clients=400,
-                                   dist="gaussian:4", samples=20),
-    "emmdea_k12_d6.csv": dict(views=12, d=6, clients=753,
-                              solvers=("mmdea", "emmdea"), samples=2),
-    "emmdea_k40_d5.csv": dict(views=40, d=5, clients=400,
-                              solvers=("mmdea", "emmdea"), samples=2),
-    "wide_k100_d16.csv": dict(views=100, d=16, clients=753, samples=2),
-    "wide_k100_d16_literal.csv": dict(views=100, d=16, clients=753,
-                                      phi="literal", samples=2),
-    "wide_k100_d16_per_view.csv": dict(views=100, d=16, clients=753,
-                                       phi="per_view", samples=2),
-    "gapped_zipf1.csv": dict(views=24, d=4, clients=60, dist="zipf:1",
-                             solvers=("omds", "mmdea", "emmdea", "hmmdea"),
-                             samples=8),
-    "gapped_zipf1_literal.csv": dict(views=24, d=4, clients=60,
-                                     dist="zipf:1", phi="literal",
-                                     solvers=("omds", "mmdea", "emmdea",
-                                              "hmmdea"), samples=8),
-    "gapped_zipf1_per_view.csv": dict(views=24, d=4, clients=60,
-                                      dist="zipf:1", phi="per_view",
-                                      solvers=("omds", "mmdea", "emmdea",
-                                               "hmmdea"), samples=8),
+# delivery tree.  On a machine with W usable cores a run of n samples forks
+# min(W, n) - 1 children, so these runs also take the forked path.
+GOLDEN_HEAD = "run --topology src/mmds/data/kdl_754_895.gml --seed 2024"
+GOLDEN_RUNS = {
+    "headline_uniform.csv": "--views 12 --d 5 --clients 400 --samples 20",
+    "relaxed_zipf1.csv": "--views 24 --d 4 --clients 400 --dist zipf:1 "
+                         "--solver omds,mmdea,emmdea,hmmdea --samples 4",
+    "relaxed_zipf1_literal.csv":
+        "--views 24 --d 4 --clients 400 --dist zipf:1 "
+        "--solver omds,mmdea,emmdea,hmmdea --samples 4 --phi literal",
+    "relaxed_zipf1_per_view.csv":
+        "--views 24 --d 4 --clients 400 --dist zipf:1 "
+        "--solver omds,mmdea,emmdea,hmmdea --samples 4 --phi per-view",
+    "headline_gaussian4.csv": "--views 12 --d 5 --clients 400 "
+                              "--dist gaussian:4 --samples 20",
+    "emmdea_k12_d6.csv": "--views 12 --d 6 --clients 753 "
+                         "--solver mmdea,emmdea --samples 2",
+    "emmdea_k40_d5.csv": "--views 40 --d 5 --clients 400 "
+                         "--solver mmdea,emmdea --samples 2",
+    "wide_k100_d16.csv": "--views 100 --d 16 --clients 753 --samples 2",
+    "wide_k100_d16_literal.csv": "--views 100 --d 16 --clients 753 "
+                                 "--samples 2 --phi literal",
+    "wide_k100_d16_per_view.csv": "--views 100 --d 16 --clients 753 "
+                                  "--samples 2 --phi per-view",
+    "gapped_zipf1.csv": "--views 24 --d 4 --clients 60 --dist zipf:1 "
+                        "--solver omds,mmdea,emmdea,hmmdea --samples 8",
+    "gapped_zipf1_literal.csv": "--views 24 --d 4 --clients 60 --dist zipf:1 "
+                                "--solver omds,mmdea,emmdea,hmmdea "
+                                "--samples 8 --phi literal",
+    "gapped_zipf1_per_view.csv": "--views 24 --d 4 --clients 60 --dist zipf:1 "
+                                 "--solver omds,mmdea,emmdea,hmmdea "
+                                 "--samples 8 --phi per-view",
 }
 
 
-@pytest.mark.parametrize("name", EXPECTED_RUNS)
-def test_output_matches_committed_csv(monkeypatch, name):
+def cut_runtime(data):
+    """CSV bytes with field 16 cut from each line, as `cut -d, -f1-15,17`."""
+    lines = (line.split(b",") for line in data.split(b"\n"))
+    return b"\n".join(b",".join(f[:15] + f[16:]) for f in lines)
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_output_matches_committed_csv(tmp_path, monkeypatch, name):
     monkeypatch.chdir(ROOT)  # the topology column is the path as given
-    config = ScenarioConfig(topology="src/mmds/data/kdl_754_895.gml",
-                            seed=2024, **EXPECTED_RUNS[name])
-    out = io.StringIO()
-    write_csv(run_scenario(config), out)
-    got = strip_runtimes(csv.DictReader(io.StringIO(out.getvalue())))
-    with open(ROOT / "tests" / "data" / name, newline="", encoding="utf-8") as fh:
-        assert got == list(csv.DictReader(fh))
+    out = tmp_path / name
+    argv = f"{GOLDEN_HEAD} {GOLDEN_RUNS[name]}".split()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert cut_runtime(out.read_bytes()) == \
+        (ROOT / "tests" / "data" / name).read_bytes()
 
 
 @fork_only
@@ -746,27 +746,55 @@ def test_forked_run_prints_one_csv_header(monkeypatch, capfd):
     assert len(lines) == 1 + 5 * 2 + 2
 
 
-# The files the outcome cases read, written into the test's directory.
+# The files the outcome cases read, written into the test's directory.  A
+# '²' id is a name (str.isdigit() takes it, int() does not), so super.gml
+# runs.  nested.gml (split by blanks) and labelled.gml (read by the regex:
+# quoted brackets and blanks, a comment, a word a quote runs on from) each
+# hold a nested graphics block, and run too.
 OUTCOME_FILES = {
     "truncated.gml": "graph [\n  node [ id 1 ]\n  node [ id",
     "mixed.edges": "1 2\n2 a\n",
     "one.demand": "1 1\n",
     "star.edges": "".join(f"hub t{i}\n" for i in range(1, 41)),
     "star.demand": "".join(f"t{i} {i}\n" for i in range(1, 41)),
+    "super.gml": "graph [\n node [ id a ]\n node [ id ² ]\n"
+                 " edge [ source a target ² ]\n]\n",
+    "labelled.gml": '# by hand\ngraph [\n node [ id 1 label "core [1] a" '
+                    'graphics [ x 1 y 2 ] ]\n node [ id 2 label "] b [" '
+                    'note a"b ]\n edge [ source 1 target 2 ]\n]\n',
+    "nested.gml": "graph [\n node [ id 1 graphics [ x 1 y 2 ] ]\n"
+                  " node [ id 2 ]\n edge [ source 1 target 2 ]\n]\n",
+    "empty.gml": "# c\ngraph [\n]\n",
+    "empty.edges": "# no edge\n\n",
+    "pair.edges": "s a\ns b\n",
+    "twice.demand": "b 1\na 2\nb 3\n",
 }
 # (arguments, exit code, stderr prefix, parse_topology raises KeyError);
-# {tmp} is the test's directory, an empty prefix means an empty stderr.
+# {tmp} is the test's directory.  A prefix ending in a newline is the whole
+# of stderr.  An exit-0 case writes {tmp}/rows.csv and leaves stderr empty;
+# there the prefix is what each sample row's error starts with, and an
+# empty one means every sample row is ok.
 OUTCOME_CASES = {
     "solve-truncated-gml": (
         "solve --topology {tmp}/truncated.gml --demand {tmp}/one.demand --d 2",
         1, "error: line 3: ", False),
     "run-truncated-gml": ("run --topology {tmp}/truncated.gml",
                           1, "error: line 3: ", False),
+    "run-empty-graph-block": ("run --topology {tmp}/empty.gml", 1,
+                              "error: line 2: graph block holds no node\n",
+                              False),
     "solve-mixed-ids": ("solve --topology {tmp}/mixed.edges --format edges "
                         "--demand {tmp}/one.demand --d 2",
                         1, "error: line 2: node ids 1 and 'a' mix ", False),
     "run-mixed-ids": ("run --topology {tmp}/mixed.edges --format edges",
                       1, "error: line 2: node ids 1 and 'a' mix ", False),
+    "run-no-edge": ("run --topology {tmp}/empty.edges --format edges "
+                    "--clients 1 --samples 1",
+                    1, "error: edge list holds no edge\n", False),
+    "solve-terminal-twice": (
+        "solve --topology {tmp}/pair.edges --format edges "
+        "--demand {tmp}/twice.demand --d 2",
+        1, "error: line 3: terminal 'b' already given on line 1\n", False),
     "run-out-in-missing-dir": ("run --preset demo --d 4 --out {tmp}/nope/x.csv",
                                1, "error: [Errno 2] ", False),
     # the truncated topology would name line 3 if it were parsed first
@@ -782,7 +810,10 @@ OUTCOME_CASES = {
         2, "refused: ", False),
     "run-guard-refusal": (
         "run --gen 40,50 --views 30 --clients 35 --d 2 --samples 1 --seed 3 "
-        "--solver oracle --out {tmp}/rows.csv", 0, "", False),
+        "--solver oracle --out {tmp}/rows.csv", 0, "segment span", False),
+    **{f"run-{name}-gml": (f"run --topology {{tmp}}/{name}.gml --clients 1 "
+                           "--samples 1 --out {tmp}/rows.csv", 0, "", False)
+       for name in ("super", "labelled", "nested")},
     "solve-unexpected-exception": (
         "solve --topology {tmp}/star.edges --demand {tmp}/one.demand --d 2",
         3, "internal error: KeyError: 'boom'", True),
@@ -795,7 +826,7 @@ OUTCOME_CASES = {
 def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, case):
     argv, want_code, prefix, broken = OUTCOME_CASES[case]
     for name, text in OUTCOME_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     if broken:
         def parse_topology(*args, **kwargs):
             raise KeyError("boom")
@@ -804,13 +835,14 @@ def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, case):
                              *(a.format(tmp=tmp_path) for a in argv.split()))
     assert code == want_code and out == ""
     assert "Traceback" not in err
-    if prefix:
+    if want_code:
         assert err.startswith(prefix) and err.count("\n") == 1
     else:
         assert err == ""
         with open(tmp_path / "rows.csv", newline="", encoding="utf-8") as fh:
-            row = next(csv.DictReader(fh))
-        assert row["status"] == "error" and row["error"].startswith("segment span")
+            rows = [r for r in csv.DictReader(fh) if r["sample"] != "mean"]
+        assert rows and all(r["status"] == ("error" if prefix else "ok")
+                            and r["error"].startswith(prefix) for r in rows)
 
 
 def test_out_is_opened_before_any_sample(tmp_path, monkeypatch, capsys):
@@ -842,6 +874,10 @@ def test_emmdea_refusal_in_a_run_is_an_error_row(tmp_path, monkeypatch, capsys):
                         r"D", rows["emmdea"]["error"])
     for solver in ("omds", "mmdea", "hmmdea"):
         assert rows[solver]["status"] == "ok", solver
+
+
+def test_output_does_not_follow_string_hashing(hash_seed_outputs):
+    assert len(hash_seed_outputs) == 1
 
 
 def test_importing_the_cli_loads_numpy_random():
