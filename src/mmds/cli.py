@@ -26,7 +26,7 @@ import numpy as np
 # loaded here, before `run_scenario` forks, so no child pays the import
 from numpy.random import SeedSequence, default_rng
 
-from .cost import SolverError, two_view_fraction
+from .cost import PHI_MODES, SolverError, two_view_fraction
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import build_spt, check_quality
 from .hmmdea import h_solve
@@ -47,6 +47,9 @@ SOLVERS = {
     "oracle": lambda tree, demand, D, phi: brute_force_mmds(tree, demand, D),
     "oracle-ext": lambda tree, demand, D, phi: brute_force_emmds(tree, demand, D),
 }
+
+# The `--phi` spellings of cost.PHI_MODES: `main` maps "-" back to "_".
+PHI_CHOICES = tuple(m.replace("_", "-") for m in PHI_MODES)
 
 CSV_COLUMNS = ("topology", "views", "clients", "dist", "d", "phi", "samples",
                "seed", "sample", "sample_seed", "solver", "status",
@@ -361,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--demand", required=True, help="terminal/view pairs file")
     ps.add_argument("--d", type=_integer, required=True, help="quality constraint")
     ps.add_argument("--solver", choices=SOLVERS, default="mmdea")
-    ps.add_argument("--phi", choices=("literal", "exact", "per-view"),
-                    default="exact")
+    ps.add_argument("--phi", choices=PHI_CHOICES, default="exact")
     ps.add_argument("--views", type=_integer, help="universe size (default: max view)")
     ps.add_argument("--largest-component", action="store_true")
     ps.set_defaults(func=_cmd_solve)
@@ -379,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--d", type=_integer, default=5)
     pr.add_argument("--solver", default="omds,mmdea",
                     help="comma-separated list of solvers")
-    pr.add_argument("--phi", choices=("literal", "exact", "per-view"),
-                    default="exact")
+    pr.add_argument("--phi", choices=PHI_CHOICES, default="exact")
     pr.add_argument("--samples", type=_integer, default=100)
     pr.add_argument("--seed", type=_integer, default=0)
     pr.add_argument("--out", default="-", help="CSV path, '-' for stdout")
@@ -391,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "phi", None) == "per-view":
-        args.phi = "per_view"
+    args.phi = args.phi.replace("-", "_")
     try:
         return args.func(args)
     except (Exception, KeyboardInterrupt) as exc:  # an exit code, no traceback

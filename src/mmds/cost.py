@@ -4,9 +4,9 @@ view loads.
 
 Arc sets are int bitmasks over the tree's arc numbering, built from
 `ShortestPathTree.path_mask` and decoded by `tree.arcs_of` only where a
-function returns arcs.  A hand-built tree numbers its own arcs (bit i is
-`tree.arc_list[i]`); a `build_spt` tree uses its graph's numbering, so
-its masks may leave bits unused.
+function returns arcs.  Every tree numbers its arcs by one rule, (depth,
+`repr`) from the root over its whole parent map, so masks may leave
+unused the bits of arcs off the terminals' paths.
 
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.

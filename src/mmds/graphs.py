@@ -64,16 +64,14 @@ class NetworkGraph:
 
     @cached_property
     def spt(self) -> ShortestPathTree:
-        """The shortest-path tree to every reachable non-server node, taken
-        in (distance, `repr`) order, so arc i is the arc into the i-th node
-        in that order.  Each node's parent is its smallest-identifier
-        neighbour one hop nearer the server.  `build_spt` cuts it down to a
-        sample's terminals.  Built on first use, once per graph."""
+        """The shortest-path tree to every reachable non-server node.  Each
+        node's parent is its smallest-identifier neighbour one hop nearer
+        the server, so a node's depth is its distance.  `build_spt` cuts it
+        down to a sample's terminals.  Built on first use, once per graph."""
         dist = self.dist
         parents = {n: min(m for m in self._adj[n] if dist[m] == d - 1)
                    for n, d in dist.items() if d}
-        order = sorted(parents, key=lambda n: (dist[n], repr(n)))
-        return ShortestPathTree(self.server, parents, order)
+        return ShortestPathTree(self.server, parents, parents)
 
     @property
     def node_count(self):
@@ -98,45 +96,39 @@ class ShortestPathTree:
 
     Arcs point away from the root.  Every non-root node has exactly one
     parent and every terminal is reachable from the root.  `parents` may
-    hold nodes off the terminals' root paths; they get no arc.
+    hold nodes off the terminals' root paths.
 
-    Arc sets are int bitmasks; `arcs_of` decodes one.  The constructor
-    numbers the arcs as the walks up from the terminals, in the order
-    given, meet them, each walk's new arcs top-down, and `path_mask` maps
-    every node on a terminal's root path to the mask of that path, its
-    parent's mask plus its own arc's bit, computed once per node.  A tree
+    Arc sets are int bitmasks; `arcs_of` decodes one.  Bit i is the arc
+    into the i-th node reachable from the root through `parents`, taken in
+    (depth, `repr`) order, so the numbering does not depend on the order
+    of the terminals.  `path_mask` maps every reachable node to the mask
+    of its root path, its parent's mask plus its own arc's bit.  A tree
     from `restrict` keeps the numbering of the tree it was cut from and
-    holds only its terminals' masks.  Either way `arc_list` lists the
-    tree's own arcs in bit order; for a constructed tree bit i is
-    `arc_list[i]`.
+    holds only its terminals' masks.  Either way `arc_list` lists the arcs
+    on the terminals' root paths in bit order.
     """
 
     def __init__(self, root, parents, terminals):
         self.root = root
-        self.parents = dict(parents)
-        order = tuple(dict.fromkeys(terminals))
-        self.terminals = frozenset(order)
-        if root in self.parents:
+        self.parents = parents = dict(parents)
+        self.terminals = frozenset(terminals)
+        if root in parents:
             raise ValueError("root must not have a parent")
-        parents = self.parents
+        children = {}
+        for c, p in parents.items():
+            children.setdefault(p, []).append(c)
         numbering = []
         path_mask = {root: 0}
-        for t in order:
-            climb = []
-            n = t
-            while n not in path_mask:
-                if n not in parents:
-                    raise ValueError(f"terminal {t!r} is not reachable from root {root!r}")
-                climb.append(n)
-                if len(climb) > len(parents):  # some node repeats
-                    p = next(c for i, c in enumerate(climb) if c in climb[:i])
-                    raise ValueError(f"cycle through node {p!r}")
-                n = parents[n]
-            mask = path_mask[n]
-            for c in reversed(climb):
-                mask |= 1 << len(numbering)
+        level = [root]
+        while level:  # a node on a parent cycle is never reached
+            level = sorted((c for p in level for c in children.get(p, ())), key=repr)
+            for c in level:
+                path_mask[c] = path_mask[parents[c]] | 1 << len(numbering)
                 numbering.append((parents[c], c))
-                path_mask[c] = mask
+        unreached = self.terminals - path_mask.keys()
+        if unreached:
+            raise ValueError(f"terminal {min(unreached, key=repr)!r} is not "
+                             f"reachable from root {root!r}")
         self._numbering = numbering   # bit i stands for numbering[i]
         self.path_mask = path_mask
 
@@ -181,9 +173,9 @@ def build_spt(graph: NetworkGraph, terminals) -> ShortestPathTree:
     Equal-distance parent candidates are broken by smallest node
     identifier (see `NetworkGraph.spt`), so identical inputs always
     produce identical trees.  The tree is the graph's own (`graph.spt`)
-    cut down to the terminals, in their order: its `parents` is the whole
-    parent map and its masks use the graph tree's arc numbering, but its
-    arcs cover only the terminals' root paths.
+    cut down to the terminals: its `parents` is the whole parent map, and
+    it has the masks and arc numbering of the tree the constructor builds
+    over that map, but its arcs cover only the terminals' root paths.
     """
     terminals = tuple(terminals)
     dist = graph.dist

@@ -21,7 +21,7 @@ from mmds.workload import sample_demand, write_edges
 def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
                          max_views=10):
     """Random rooted tree with random terminals and demand; node 0 is the
-    root.  Non-terminal dead branches are dropped, as build_spt would."""
+    root.  Non-terminal dead branches are dropped from the parent map."""
     n = rng.randint(3, max_nodes)
     parents = {i: rng.randrange(i) for i in range(1, n)}
     n_terms = rng.randint(1, min(max_terminals, n - 1))

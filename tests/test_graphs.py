@@ -132,18 +132,18 @@ def bundled_graph():
 
 class TestBuildSptAgainstConstructor:
     """build_spt cuts the graph's tree down to the terminals; the cut tree
-    must describe the tree the constructor builds over the graph's
-    parents, whatever the two numberings."""
+    must be, bit for bit, the tree the constructor builds over the graph's
+    parents, whichever order the terminals come in."""
 
     @staticmethod
     def assert_same_tree(graph, terms, demand, D, solvers):
         got = build_spt(graph, terms)
-        want = ShortestPathTree(graph.server, graph.spt.parents, terms)
-        assert got.arcs == want.arcs
-        assert got.terminals == want.terminals
-        for t in terms:
-            assert got.arcs_of(got.path_mask[t]) == \
-                want.arcs_of(want.path_mask[t])
+        for order in (terms, terms[::-1]):
+            want = ShortestPathTree(graph.server, graph.spt.parents, order)
+            assert got.arc_list == want.arc_list
+            assert got.terminals == want.terminals
+            for t in terms:
+                assert got.path_mask[t] == want.path_mask[t]
         assert view_trees(got, demand) == view_trees(want, demand)
         thetas = [identity_selection(demand)]
         for name in solvers:
@@ -197,11 +197,34 @@ class TestBuildSptAgainstConstructor:
 
 
 class TestShortestPathTree:
-    def test_arcs_numbered_in_terminal_order(self):
+    def test_arcs_numbered_by_depth_then_repr(self):
         t = ShortestPathTree(0, {1: 0, 2: 0, 3: 1}, [2, 3, 2, 1])
-        assert t.arc_list == [(0, 2), (0, 1), (1, 3)]
+        assert t.arc_list == [(0, 1), (0, 2), (1, 3)]
         assert t.terminals == {1, 2, 3}
-        assert [t.path_mask[n].bit_count() for n in (2, 3, 1)] == [1, 2, 1]
+        assert [t.path_mask[n] for n in (1, 2, 3)] == [0b001, 0b010, 0b101]
+
+    def test_terminal_order_does_not_change_the_masks(self):
+        parents = {"b": "r", "a": "r", "c": "a", "d": "b", "e": "c"}
+        one = ShortestPathTree("r", parents, ["e", "d", "b"])
+        two = ShortestPathTree("r", parents, ["b", "d", "e"])
+        assert one.path_mask == two.path_mask
+        assert one.arc_list == two.arc_list == [
+            ("r", "a"), ("r", "b"), ("a", "c"), ("b", "d"), ("c", "e")]
+
+    def test_terminal_whose_parents_leave_the_map_is_unreachable(self):
+        with pytest.raises(ValueError) as err:
+            ShortestPathTree(0, {1: 0, 3: 2, 4: 3, 5: 9}, [5, 1, 4])
+        assert str(err.value) == "terminal 4 is not reachable from root 0"
+
+    def test_terminal_on_a_parent_cycle_is_unreachable(self):
+        with pytest.raises(ValueError) as err:
+            ShortestPathTree(0, {1: 0, 2: 3, 3: 2, 4: 3}, [1, 4, 2])
+        assert str(err.value) == "terminal 2 is not reachable from root 0"
+
+    def test_cycle_off_every_terminal_path_is_fine(self):
+        t = ShortestPathTree(0, {1: 0, 2: 1, 3: 4, 4: 3}, [2])
+        assert t.arc_list == [(0, 1), (1, 2)]
+        assert t.path_mask == {0: 0, 1: 0b01, 2: 0b11}
 
     def test_arc_numbering_does_not_follow_string_hashing(self,
                                                           hash_seed_outputs):
