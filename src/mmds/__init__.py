@@ -10,7 +10,7 @@ from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      segment_views, transmitted_views, validate_selection)
 from .hmmdea import HeuristicResult, h_solve
 from .instances import demo_graph, demo_instance
-from .mmdea import (CostTable, backtrack, solve_d2, solve_d3, solve_general,
+from .mmdea import (CostTable, solve_d2, solve_d3, solve_general,
                     solve_segment)
 from .oracle import (OracleGuardError, brute_force_emmds, brute_force_mmds,
                      omds)

@@ -19,6 +19,7 @@ import pickle
 import signal
 import sys
 import time
+import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -394,7 +395,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.phi = args.phi.replace("-", "_")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # each warning is one line of stderr
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (Exception, KeyboardInterrupt) as exc:  # an exit code, no traceback
         code, prefix = next(o[1:] for o in OUTCOMES if isinstance(exc, o[0]))
         print(prefix.format(type(exc).__name__) + str(exc), file=sys.stderr)

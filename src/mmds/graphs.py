@@ -209,11 +209,6 @@ class DemandMap:
                 raise ValueError(f"demand keys are not terminals: {sorted(extra, key=repr)}")
         self.desired_views = tuple(sorted(self.view_counts))
 
-    def __eq__(self, other):
-        return (isinstance(other, DemandMap)
-                and self.demand == other.demand
-                and self.universe_size == other.universe_size)
-
     def __len__(self):
         return len(self.demand)
 

@@ -7,8 +7,9 @@ and the anchor view v_{k-d} are both transmitted and every desired view
 strictly between them is synthesized from that pair.  A variant d >= 2
 with no desired view between its anchors is never filled: it synthesizes
 nothing, so it is variant 0's jump from v_{k-d} at a price no lower, and
-variant 0 wins every tie.  Backtracking over the stored argmin choices
-recovers the optimal selection.
+variant 0 wins every tie.  Each filled cell links to the cell it was
+priced from, so the optimal selection is read off the link chain of the
+last column's cheapest cell.
 
 Three ways of pricing a synthesis step are supported:
 
@@ -59,12 +60,15 @@ DROPPED = (INFEASIBLE, None, 0)
 
 @dataclass
 class CostTable:
-    """DP lattice of one segment: columns[k][d] is cell (value, choice,
-    joint) of variant d at column k.  choice is the column jumped from for
-    d = 0, the variant of column k - d anchored on for d >= 2, and None at
-    the first column and in an infeasible cell; joint is the union of the
-    view trees strictly between the anchors (0 for d = 0), so the cell's
-    anchor tree is mask(k) | joint.  A cell off its column's staircase is
+    """DP lattice of one segment: columns[k][d] is cell (value, link,
+    joint) of variant d at column k.  link is the cell's selection as a
+    back chain (prev, k, a): a is the anchor column k - d, None for d = 0;
+    prev is the link of the cell it was priced from, a variant of column a
+    or, for d = 0, the cheapest cell of the column jumped from.  link is
+    None at the first column and in a DROPPED cell, so every chain ends at
+    the first column.  joint is the union of the view trees strictly
+    between the anchors (0 for d = 0), so the cell's anchor tree is
+    mask(k) | joint.  A cell off its column's staircase is
     DROPPED, so every variant keeps one cell.  `cells` counts those cells,
     DROPPED ones included, `prices` the exact-mode popcounts against a
     staircase entry's tree and `cut` the variants the lower bound left
@@ -79,10 +83,6 @@ class CostTable:
     def minimum(self, k):
         return min(cell[0] for cell in self.columns[k].values())
 
-    def best(self, k):
-        """(d, cell) of column k's cheapest variant, the smallest d on ties."""
-        return min(self.columns[k].items(), key=lambda kv: (kv[1][0], kv[0]))
-
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                   D: int, mode: str = "exact") -> tuple:
@@ -92,12 +92,12 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
-    # ranked[k]: column k's staircase of (value, d, anchor tree), ascending in
-    # value and d: filled from the deepest d down, a cell joins when no deeper
-    # one is cheaper; d is unique per column, so ties go to the smaller d
+    # ranked[k]: column k's staircase of (value, link, anchor tree), ascending
+    # in value and d: filled from the deepest d down, a cell joins when no
+    # deeper one is cheaper; d is unique per column, so ties go to the smaller d
     t = masks.get(m, 0)
     table.columns[m] = {0: (t.bit_count(), None, 0)}
-    ranked = {m: [(t.bit_count(), 0, t)]}
+    ranked = {m: [(t.bit_count(), None, t)]}
     cells, prices, cut = 1, 0, 0
     last = m  # nearest desired view below k
 
@@ -120,7 +120,7 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 continue
             # a price that is the same for every predecessor variant j goes
             # to the head of the staircase; exact mode adds |joint - tree_j|
-            head, j, _ = cands[0]
+            head, link, _ = cands[0]
             joint = joints[d - 2]
             if (head + ck > low
                     or head + (base := ck + (nj := joint.bit_count())
@@ -133,13 +133,13 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 # price, or the price that would tie low, no popcount (>= 0)
                 # can undercut it
                 bv = low - base + 1
-                for value, dj, tj in cands:
+                for value, lj, tj in cands:
                     if value >= bv:
                         break
                     c = value + nj - (joint & tj).bit_count()
                     prices += 1
                     if c < bv:
-                        bv, j = c, dj
+                        bv, link = c, lj
                 price = bv + base
             elif mode == "literal":
                 price = head + ck + phi(joint, masks.get(a, 0), mk)
@@ -149,20 +149,22 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                                         for v in range(a + 1, last + 1)
                                         if v in desired)
             if price <= low:  # only a staircase cell is ever read
-                col[d] = (price, j, joint)
-                stair.append((price, d, mk | joint))
+                link = (link, k, a)
+                col[d] = (price, link, joint)
+                stair.append((price, link, mk | joint))
                 low = price
         # variant 0: v_k extends a shorter prefix without synthesizing
-        best_val, best_col = INFEASIBLE, None
+        best_val, link = INFEASIBLE, None
         if k in desired:
             for kp in range(k - 1, last - 1, -1):  # nearest predecessor wins ties
                 r = ranked[kp]
                 if r and r[0][0] < best_val:
-                    best_val, best_col = r[0][0], kp
+                    best_val, link, _ = r[0]
         price, col[0] = best_val + ck, DROPPED
         if price <= low and price != INFEASIBLE:
-            col[0] = (price, best_col, 0)
-            stair.append((price, 0, mk))
+            link = (link, k, None)
+            col[0] = (price, link, 0)
+            stair.append((price, link, mk))
         cells += len(col)
         table.columns[k] = col
         ranked[k] = stair[::-1]
@@ -170,39 +172,21 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
             last = k
     table.cells, table.prices, table.cut = cells, prices, cut
 
-    value = table.minimum(M)
-    if value == INFEASIBLE:
+    if not ranked[M]:
         raise SolverError(f"segment {seg.lo}..{seg.hi} came out infeasible; "
                           "direct delivery is always feasible, so the table is corrupt")
-    theta = backtrack(table)
-    return value, theta, table
-
-
-def backtrack(table: CostTable) -> dict:
-    """Recover the optimal selection from the stored argmin choices."""
-    seg, desired = table.segment, table.desired
+    value, link, _ = ranked[M][0]
     theta = {}
-    k = seg.hi
-    d, (_, choice, _) = table.best(k)
-    while choice is not None:
+    while link is not None:
+        link, k, a = link
         if k in desired:
             theta[k] = (k, k)
-        if d == 0:
-            k = choice
-            d, (_, choice, _) = table.best(k)
-            continue
-        a = k - d
-        for v in range(a + 1, k):
-            if v in desired:
-                theta[v] = (a, k)
-        cell = table.columns[a].get(choice)
-        if cell is None:
-            raise SolverError(f"dangling variant pointer ({a}, {choice})")
-        k, d, choice = a, choice, cell[1]
-    if k != seg.lo:
-        raise SolverError(f"dangling choice pointer at column {k}")
-    theta[seg.lo] = (seg.lo, seg.lo)
-    return theta
+        if a is not None:
+            for v in range(a + 1, k):
+                if v in desired:
+                    theta[v] = (a, k)
+    theta[m] = (m, m)
+    return value, theta, table
 
 
 def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,

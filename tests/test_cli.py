@@ -87,18 +87,6 @@ class TestSolveCommand:
         assert code == 0
         assert "transmitted: 2 3 4 6 7 8" in out
 
-    def test_oracle_guard_exit_code(self, tmp_path, capsys):
-        # a 40-view consecutive segment refuses enumeration
-        topo = tmp_path / "star.edges"
-        topo.write_text("".join(f"hub t{i}\n" for i in range(1, 41)))
-        dem = tmp_path / "d.txt"
-        dem.write_text("".join(f"t{i} {i}\n" for i in range(1, 41)))
-        code, _, err = run_cli(capsys, "solve", "--topology", str(topo),
-                               "--format", "edges", "--demand", str(dem),
-                               "--d", "2", "--solver", "oracle")
-        assert code == 2
-        assert "refused" in err
-
     def test_solver_error_exit_code(self, demo_files, broken_mmdea, capsys):
         topo, dem = demo_files
         code, out, err = run_cli(capsys, "solve", "--topology", topo,
@@ -148,16 +136,6 @@ class TestSolveCommand:
                                  "--demand", str(dem), "--d", "2")
         assert code == 1
         assert out == "" and err.startswith("error: [Errno 2] ")
-
-    def test_truncated_gml_names_a_line(self, tmp_path, capsys):
-        bad = tmp_path / "truncated.gml"
-        bad.write_text("graph [\n  node [ id 1 ]\n  node [ id")
-        dem = tmp_path / "d.txt"
-        dem.write_text("1 1\n")
-        code, _, err = run_cli(capsys, "solve", "--topology", str(bad),
-                               "--demand", str(dem), "--d", "2")
-        assert code == 1
-        assert err.startswith("error: line 3: ")
 
 
 class TestRunCommand:
@@ -768,6 +746,9 @@ OUTCOME_FILES = {
     "empty.edges": "# no edge\n\n",
     "pair.edges": "s a\ns b\n",
     "twice.demand": "b 1\na 2\nb 3\n",
+    "loop.edges": "1 2\n1 1\n2 3\n",
+    "split.edges": "1 2\n2 3\n4 5\n",
+    "two.demand": "2 1\n3 2\n",
 }
 # (arguments, exit code, stderr prefix, parse_topology raises KeyError);
 # {tmp} is the test's directory.  A prefix ending in a newline is the whole
@@ -843,6 +824,24 @@ def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys, case):
             rows = [r for r in csv.DictReader(fh) if r["sample"] != "mean"]
         assert rows and all(r["status"] == ("error" if prefix else "ok")
                             and r["error"].startswith(prefix) for r in rows)
+
+
+@pytest.mark.parametrize("command", [
+    "solve --demand {tmp}/two.demand --d 2",
+    "run --clients 2 --samples 1 --out {tmp}/rows.csv"], ids=["solve", "run"])
+@pytest.mark.parametrize("topology, warning", [
+    ("loop.edges", "line 2: dropping self-loop on node 1"),
+    ("split.edges --largest-component",
+     "graph is disconnected; keeping largest component (3 of 5 nodes)")],
+    ids=["self-loop", "largest-component"])
+def test_each_warning_is_one_stderr_line(tmp_path, capsys, command, topology,
+                                         warning):
+    for name, text in OUTCOME_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = f"{command} --topology {{tmp}}/{topology} --format edges"
+    code, _, err = run_cli(capsys,
+                           *(a.format(tmp=tmp_path) for a in argv.split()))
+    assert code == 0 and err == f"warning: {warning}\n"
 
 
 def test_out_is_opened_before_any_sample(tmp_path, monkeypatch, capsys):

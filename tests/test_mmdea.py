@@ -10,9 +10,9 @@ from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
                   solve_general, solve_segment, two_view_fraction,
                   validate_selection)
 from mmds import mmdea
-from mmds.cost import PHI_MODES, SolverError, phi, view_masks
+from mmds.cost import PHI_MODES, phi, view_masks
 from mmds.instances import demo_instance
-from mmds.mmdea import DROPPED, backtrack
+from mmds.mmdea import DROPPED
 
 from conftest import bundled_instance, random_tree_instance, small_instances
 
@@ -243,8 +243,7 @@ class TestBacktrack:
     def test_demo_table_backtracks_to_optimum(self):
         tree, demand = demo_instance()
         seg = segment_views(demand, 4)[0]
-        _, _, table = solve_segment(tree, demand, seg, 4, "exact")
-        assert backtrack(table) == THETA_STAR
+        assert solve_segment(tree, demand, seg, 4, "exact")[1] == THETA_STAR
 
     def test_all_direct_optimum_is_identity(self):
         tree = ShortestPathTree(0, {1: 0, 2: 0}, [1, 2])
@@ -252,21 +251,13 @@ class TestBacktrack:
         res = solve_general(tree, demand, 2)
         assert res.theta == identity_selection(demand)
 
-    def test_dangling_pointer_raises(self):
-        tree, demand = demo_instance()
-        seg = segment_views(demand, 4)[0]
-        _, _, table = solve_segment(tree, demand, seg, 4, "exact")
-        d, (_, j, _) = table.best(8)
-        assert d >= 2  # views 6 and 7 are synthesized from (4, 8)
-        table.columns[8 - d].pop(j)
-        with pytest.raises(SolverError, match="dangling"):
-            backtrack(table)
-
 
 # The anchor loop as it stood before the price was split into a part that
 # is the same for every predecessor variant j and a popcount against j's
 # tree: every variant of column a is priced through _ref_phi, in j order.
 # Kept as the reference the value-ordered loop must match cell for cell.
+# Each feasible cell links to the cell of its own argmin, as a production
+# cell does: (link of that cell, k, k - d), or (..., k, None) for d = 0.
 
 def _ref_phi(mode, masks, between_desired, joint, anchor_view, k_view,
              anchor_tree):
@@ -279,6 +270,28 @@ def _ref_phi(mode, masks, between_desired, joint, anchor_view, k_view,
                    for v in between_desired)
     base = masks.get(anchor_view, 0) if mode == "literal" else anchor_tree
     return (joint & ~base).bit_count() + (joint & ~m_k).bit_count()
+
+
+def cheapest(column):
+    """Cell of the column's smallest (value, d)."""
+    return min(column.items(), key=lambda kv: (kv[1][0], kv[0]))[1]
+
+
+def reference_theta(ref):
+    """Selection read off the link chain of the last column's cheapest
+    cell: a link (prev, k, a) transmits v_k, and v_a with it when a is not
+    None, synthesizing the desired views strictly between them."""
+    _, link, _ = cheapest(ref.columns[ref.segment.hi])
+    theta = {}
+    while link is not None:
+        link, k, a = link
+        if k in ref.desired:
+            theta[k] = (k, k)
+        if a is not None:
+            theta.update((v, (a, k)) for v in range(a + 1, k)
+                         if v in ref.desired)
+    theta[ref.segment.lo] = (ref.segment.lo, ref.segment.lo)
+    return theta
 
 
 def reference_table(masks, seg, D, mode):
@@ -313,7 +326,8 @@ def reference_table(masks, seg, D, mode):
             if best_col is None:
                 col[0] = (INFEASIBLE, None, 0)
             else:
-                col[0] = (best_val + masks[k].bit_count(), best_col, 0)
+                link = (cheapest(table.columns[best_col])[1], k, None)
+                col[0] = (best_val + masks[k].bit_count(), link, 0)
                 tk[0] = masks[k]
         else:
             col[0] = (INFEASIBLE, None, 0)
@@ -328,17 +342,17 @@ def reference_table(masks, seg, D, mode):
                 col[d] = (INFEASIBLE, None, joint)
                 continue
             best = None
-            for j, (value, _, _) in sorted(table.columns[a].items()):
+            for j, (value, link, _) in sorted(table.columns[a].items()):
                 if value == INFEASIBLE:
                     continue
                 cand = value + ck + _ref_phi(mode, masks, between, joint,
                                              a, k, trees[a][j])
                 if best is None or cand < best[0]:
-                    best = (cand, j)
+                    best = (cand, link)
             if best is None:
                 col[d] = (INFEASIBLE, None, joint)
             else:
-                col[d] = (best[0], best[1], joint)
+                col[d] = (best[0], (best[1], k, a), joint)
                 tk[d] = masks.get(k, 0) | joint
         table.columns[k] = col
     return table, trees
@@ -365,7 +379,7 @@ class TestAgainstFullScanReference:
                 assert [masks.get(k, 0) | got.columns[k][d][2] for d in on] \
                     == [trees[k][d] for d in on]
             total += ref.minimum(seg.hi)
-            theta.update(backtrack(ref))
+            theta.update(reference_theta(ref))
         res = solve_general(tree, demand, D, mode)
         assert res.total == total
         assert list(res.theta.items()) == list(theta.items())

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from mmds import (DemandDistribution, DemandMap, NetworkGraph,
                   generate_topology, parse_topology, read_demand,
-                  sample_demand, write_demand, write_edges, write_gml,
-                  zipf_pmf, zipf_rank_to_view)
-from mmds.cli import main
+                  sample_demand, segment_views, write_demand, write_edges,
+                  write_gml, zipf_pmf, zipf_rank_to_view)
+from mmds.cli import ScenarioConfig, main, run_scenario
 from mmds.workload import (_MAX_NESTING, _node_id, _one_id_kind, _parse_gml,
                            _token_lines, _tokenize_gml)
 
@@ -696,3 +696,26 @@ class TestDemandFiles:
         path.write_text("# only a comment\nu1 # 2\n")
         with pytest.raises(ValueError, match="^line 2: expected 'terminal view'"):
             read_demand(path)
+
+
+# each input check with its message; `tmp` is a directory to write into
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: NetworkGraph([1, 2], [(1, 3)], 1),
+     "edge (1, 3) references unknown node"),
+    (lambda tmp: DemandMap({}, 0), "universe_size must be >= 1"),
+    (lambda tmp: segment_views(DemandMap({}, 3), 2), "no desired views"),
+    (lambda tmp: parse_topology(io.StringIO("1 2\n"), "xml"),
+     "unknown topology format 'xml'"),
+    (lambda tmp: write_gml(NetworkGraph(["a", "b"], [("a", "b")], "a"),
+                           tmp / "g.gml"),
+     "GML output requires integer node ids"),
+    (lambda tmp: generate_topology(1, 0), "need at least 2 nodes"),
+    (lambda tmp: DemandDistribution("uniform", 0), "view_count must be >= 1"),
+    (lambda tmp: run_scenario(ScenarioConfig()),
+     "scenario needs --topology, --gen or --preset"),
+], ids=["unknown-node", "empty-universe", "no-desired-view", "unknown-format",
+        "gml-named-nodes", "one-node", "no-view", "no-source"])
+def test_input_check_refuses(tmp_path, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
+    assert not (tmp_path / "g.gml").exists()
