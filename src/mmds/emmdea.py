@@ -35,20 +35,33 @@ on; every chain in a column has the same length), and of final states with
 one value the smaller chain wins.  So theta is the lexicographically
 smallest optimal selection, whatever the sweep's order or pruning.
 
+Twins: at a desired column k that fulfils none of a promise set's
+promises, the set's windows that are alike but for their entry of the
+retiring view ``k - D + 1`` make every child but one under one key with
+one value step, and the parent's ``(value, back)`` order decides each.
+So of each such group only the smallest ``(value, back)`` expands; each
+other member pushes just the child its retiring entry makes (k from that
+view and k + 1, kept under the window without the entry) and is counted
+``merged``.  The states kept are the ones a full expansion keeps.
+
 In exact mode the sweep is a branch-and-bound.  Its upper bound is
-mmdea's optimum for the segment (``mmdea.solve_segment`` on the same
-masks), since a non-crossing selection is a crossing-allowed one.  h[k]
+mmdea's optimum for the segment (``mmdea.solve_segment``, which hands
+back the sample's own mmdea result when mmdea ran first), since a
+non-crossing selection is a crossing-allowed one.  h[k]
 bounds the views transmitted above k: each desired p > k needs, on every
 arc of its tree, a right source r with p <= r <= p+D-1, and the least such
 stabbing set is found on every arc at once, greedily from the top, with
 bitmasks.  A child of column k valued above the bound less h[k] is cut
 when pushed.  After the column a state with promises is pruned when its
 value, its promised views' delivery trees so far and the points the
-greedy adds where those trees stab nothing exceed the bound.  Literal and
+greedy adds where those trees stab nothing exceed the bound.  That sum
+is at most h[k] plus those trees (per arc the greedy is optimal, and
+points placed in advance only lower its count), so the stabbing runs
+only for a promise set holding a value above that floor.  Literal and
 per_view prices need not telescope, so those modes prune nothing.
 ``SolveResult.stats`` counts ``states`` kept (summed over columns), the
-``peak`` column, the children ``cut``, the states ``pruned`` and the
-delivery ``trees`` priced (the memos' sizes).
+``peak`` column, the children ``cut``, the states ``pruned``, the twins
+``merged`` and the delivery ``trees`` priced (the memos' sizes).
 
 A segment is refused (``StateSpaceError``) past ``STATE_CAP`` kept states
 in one column or ten times that summed over its columns.  A segment
@@ -147,7 +160,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
     if ub is not None:
         h, pts = _suffix_bounds(masks, m, M, D)
     states = {(): {(): (0, None)}}  # promises -> window -> (value, back)
-    swept = cut = pruned = 0
+    swept = cut = pruned = merged = 0
     for k in range(m, M + 1):
         nxt = {}
         group = nxt.setdefault
@@ -172,6 +185,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
             # directly (an undesired view's is free and covers skipping it)
             sent = promises[0] if due else fresh
             price = trees[sent][1]
+            items = windows.items()
             if wanted and not due:
                 # by right source r = k+1..: the windows of the promise set
                 # that adds user k to r, where children synthesized from r go
@@ -179,7 +193,34 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
                 rights = [group(tuple(sorted({**old, r: old.get(r, 0) | bit}
                                              .items())), {})
                           for r in range(k + 1, min(M, k + D - 1) + 1)]
-            for window, (value, back) in windows.items():
+                if len(windows) > 1:
+                    # twins (see the module docstring): each group of
+                    # windows alike but for their retiring entry expands
+                    # only its smallest (value, back), its lead
+                    leads = {}
+                    for window, vb in items:
+                        kept = (window[1:] if window and window[0][0] == gone
+                                else window)
+                        lead = leads.setdefault(kept, (window, vb))
+                        if lead[0] is window:
+                            continue
+                        if vb < lead[1]:  # window leads; the old lead folds
+                            leads[kept] = window, vb
+                            window, vb = lead
+                        merged += 1
+                        if window is kept or not rights:
+                            continue  # no retiring entry, or no right source
+                        entry = window[0]
+                        v2 = (vb[0] + trees[gone, entry[1] | bit][1]
+                              - trees[entry][1])
+                        if v2 > lim:
+                            cut += 1
+                            continue
+                        child = (v2, (vb[1], (k, (gone, k + 1))))
+                        if rights[0].setdefault(kept, child) > child:
+                            rights[0][kept] = child
+                    items = leads.values()
+            for window, (value, back) in items:
                 # the view leaving the usable-left window retires
                 off = 1 if window and window[0][0] == gone else 0
                 kept = window[off:]
@@ -209,7 +250,17 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
         for promises, windows in list(nxt.items()):
             if promises and windows and ub is not None:
                 # a state cannot finish below its value plus its promises'
-                # bound; drop it when that exceeds mmdea's optimum
+                # bound, which is at most h[k] plus their trees (an exact
+                # price is its tree's size); drop it when that exceeds
+                # mmdea's optimum
+                floor = lim
+                for entry in promises:
+                    floor -= trees[entry][1]
+                for value, _ in windows.values():
+                    if value > floor:
+                        break
+                else:
+                    continue  # no value here can pass the bound: no stabbing
                 most = ub - _promised_bound(trees, D, h, pts, k, promises)
                 for window in [w for w, (v, _) in windows.items() if v > most]:
                     del windows[window]
@@ -228,6 +279,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
     stats["states"] += swept
     stats["cut"] += cut
     stats["pruned"] += pruned
+    stats["merged"] += merged
     stats["trees"] += len(trees)
 
     if not states:
@@ -247,7 +299,8 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
                    mode: str = "exact") -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
-    stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "trees": 0}
+    stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "merged": 0,
+             "trees": 0}
 
     def solve_one(seg, masks):
         # a non-crossing selection is a crossing-allowed one, so mmdea's

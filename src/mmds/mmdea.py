@@ -56,6 +56,7 @@ from .graphs import DemandMap, Segment, ShortestPathTree
 
 # the one cell of every variant off its column's staircase
 DROPPED = (INFEASIBLE, None, 0)
+_solved = (None, {})  # (masks, results) of the latest view_masks build
 
 
 @dataclass
@@ -86,9 +87,19 @@ class CostTable:
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                   D: int, mode: str = "exact") -> tuple:
-    """Fill the DP table for one segment; returns (cost, theta, table)."""
+    """Fill the DP table for one segment; returns (cost, theta, table).  The
+    results are kept for the latest `view_masks` build, so a call with the
+    tree and demand objects of the latest call, and the same segment, D and
+    mode, returns the kept result, which callers only read: a sample's
+    mmdea row and emmdea's bound fill one table."""
+    global _solved
     _check_mode(mode)
     masks = view_masks(tree, demand)
+    if _solved[0] is not masks:
+        _solved = (masks, {})
+    key = (seg.lo, seg.hi, seg.members, D, mode)
+    if key in _solved[1]:
+        return _solved[1][key]
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
@@ -186,7 +197,8 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 if v in desired:
                     theta[v] = (a, k)
     theta[m] = (m, m)
-    return value, theta, table
+    solved = _solved[1][key] = value, theta, table
+    return solved
 
 
 def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,

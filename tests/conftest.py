@@ -39,10 +39,13 @@ def random_tree_instance(rng: random.Random, max_nodes=18, max_terminals=8,
     return tree, demand
 
 
+KDL_PATH = str(files("mmds.data") / "kdl_754_895.gml")
+
+
 def bundled_instance(dist, seed, clients=400):
     """`clients` clients on the bundled topology with demand drawn from
     `dist`."""
-    graph = parse_topology(str(files("mmds.data") / "kdl_754_895.gml"))
+    graph = parse_topology(KDL_PATH)
     nodes = sorted(n for n in graph.nodes if n != graph.server)
     picks = random.Random(seed).sample(nodes, clients)
     return build_spt(graph, picks), sample_demand(dist, picks, seed=seed)

@@ -7,17 +7,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
-                  brute_force_emmds, segment_views, solve_extended,
-                  solve_general, transmitted_views, validate_selection)
-from mmds import emmdea
+                  brute_force_emmds, parse_topology, segment_views,
+                  solve_extended, solve_general, transmitted_views,
+                  validate_selection)
+from mmds import cli, emmdea, mmdea
 from mmds.cli import SOLVERS as SOLVER_NAMES
-from mmds.cli import main, run_solver
+from mmds.cli import ScenarioConfig, main, run_solver
 from mmds.cost import view_masks
 from mmds.emmdea import _Trees, _promised_bound, _suffix_bounds
 from mmds.instances import demo_instance
 from mmds.workload import DemandDistribution
 
-from conftest import (bundled_instance, promise_tree_instances,
+from conftest import (KDL_PATH, bundled_instance, promise_tree_instances,
                       random_tree_instance, small_instances)
 
 
@@ -155,7 +156,9 @@ class TestBranchAndBound:
         exact = solve_extended(tree, demand, 4).stats
         literal = solve_extended(tree, demand, 4, "literal").stats
         assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 30)
-        assert (literal["states"], literal["trees"]) == (138, 64)
+        # windows alike but for their retiring entry are expanded once, so
+        # the entries only their twins' children would reach go unpriced
+        assert (literal["states"], literal["trees"]) == (138, 57)
 
     def test_a_d_wider_than_the_segment_costs_what_the_segment_does(self):
         # the demo's one segment spans views 2..8, so no D past 8 changes a
@@ -201,6 +204,76 @@ class TestBranchAndBound:
         assert row["error"].startswith("SolverError: every state of "
                                        "segment 2..8 was pruned")
         assert "unsound" in row["error"]
+
+
+def run_instances(monkeypatch, views, d, clients, dist, samples):
+    """The (tree, demand) of each sample `mmds run` draws at seed 2024 on
+    the bundled topology."""
+    drawn = []
+    monkeypatch.setattr(cli, "_solver_row",
+                        lambda base, solver, tree, demand, D, phi:
+                        drawn.append((tree, demand)))
+    graph = parse_topology(KDL_PATH)
+    cfg = ScenarioConfig(topology=KDL_PATH, views=views, d=d, clients=clients,
+                         dist=dist, solvers=("emmdea",), samples=samples,
+                         seed=2024)
+    for i in range(samples):
+        cli._run_sample(cfg, graph, cli._client_candidates(graph), i)
+    return drawn
+
+
+# The states the sweep keeps, as the sweep that expanded every window in
+# full kept them: `states` and `pruned` summed over the samples, `peak` the
+# largest solve's.
+KEPT = {
+    "relaxed": ((24, 4, 400, "zipf:1", 32), (43_805, 224, 16_830)),
+    "K=12, D=6, 753 clients": ((12, 6, 753, "uniform", 2), (76, 12, 249)),
+    "K=40, D=5": ((40, 5, 400, "uniform", 2), (179_399, 4_404, 25_271)),
+}
+
+
+@pytest.mark.parametrize("shape", KEPT)
+def test_folded_twins_keep_the_states_a_full_expansion_keeps(monkeypatch,
+                                                             shape):
+    (views, d, clients, dist, samples), kept = KEPT[shape]
+    states = peak = pruned = merged = 0
+    for tree, demand in run_instances(monkeypatch, views, d, clients, dist,
+                                      samples):
+        stats = solve_extended(tree, demand, d).stats
+        states += stats["states"]
+        peak = max(peak, stats["peak"])
+        pruned += stats["pruned"]
+        merged += stats["merged"]
+    assert (states, peak, pruned) == kept
+    if views > 12:  # K=12's bound leaves no twins to fold
+        assert merged > 0
+
+
+def test_emmdea_bounds_with_the_samples_own_mmdea_tables(monkeypatch):
+    # mmdea keeps its results for the latest view-mask build, so emmdea run
+    # after it on one sample fills no table of its own; on a cold memo it
+    # fills them itself and still finds the same result
+    filled = []
+    real = mmdea.CostTable
+    monkeypatch.setattr(mmdea, "CostTable",
+                        lambda *args: filled.append(args) or real(*args))
+    dist = DemandDistribution("zipf", 24, exponent=1.0)
+    tree, demand = bundled_instance(dist, 2024)
+    segments = len(solve_general(tree, demand, 4).per_segment)
+    assert len(filled) == segments
+    warm = solve_extended(tree, demand, 4)
+    assert len(filled) == segments
+    cold = solve_extended(*bundled_instance(dist, 2024), 4)
+    assert len(filled) == 2 * segments
+    assert (cold.total, cold.theta, cold.per_segment, cold.stats) == \
+        (warm.total, warm.theta, warm.per_segment, warm.stats)
+    # a literal-mode table is no exact bound, nor is one for another D
+    tree, demand = bundled_instance(dist, 2024)
+    solve_general(tree, demand, 4, "literal")
+    solve_general(tree, demand, 3)
+    filled.clear()
+    assert solve_extended(tree, demand, 4).total == warm.total
+    assert len(filled) == segments
 
 
 @given(small_instances())
@@ -414,6 +487,29 @@ def test_no_bound_puts_an_optimal_state_above_the_optimum(inst):
                 assert value + _promised_bound(trees, D, h, pts, k,
                                                promises) <= optimum
         assert (value, promises) == (optimum, ())
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_promised_bound_never_exceeds_its_floor(inst, data):
+    # after a column the sweep skips the stabbing for a promise set whose
+    # values all stay within mmdea's optimum less h[k] and the promised
+    # trees, which is sound only while the bound never exceeds h[k] plus
+    # those trees: the top-down greedy is optimal per arc, and points
+    # placed in advance only lower its count
+    tree, demand, D = inst
+    masks = view_masks(tree, demand)
+    seg = data.draw(st.sampled_from(segment_views(demand, D)))
+    D = min(D, seg.hi - seg.lo + 2)  # as the sweep runs the segment
+    h, pts = _suffix_bounds(masks, seg.lo, seg.hi, D)
+    k = data.draw(st.integers(seg.lo - 1, seg.hi - 1))
+    rights = data.draw(st.sets(st.integers(k + 1, seg.hi), min_size=1))
+    users = st.sets(st.sampled_from(sorted(masks)))
+    promises = tuple((r, sum(1 << p for p in data.draw(users)))
+                     for r in sorted(rights))
+    trees = _Trees(masks, "exact")
+    assert _promised_bound(trees, D, h, pts, k, promises) <= \
+        h[k] + sum(trees[entry][0].bit_count() for entry in promises)
 
 
 # The promised bound as it stood before it read the sweep's memo: each
