@@ -35,14 +35,24 @@ on; every chain in a column has the same length), and of final states with
 one value the smaller chain wins.  So theta is the lexicographically
 smallest optimal selection, whatever the sweep's order or pruning.
 
-Twins: at a desired column k that fulfils none of a promise set's
-promises, the set's windows that are alike but for their entry of the
-retiring view ``k - D + 1`` make every child but one under one key with
-one value step, and the parent's ``(value, back)`` order decides each.
-So of each such group only the smallest ``(value, back)`` expands; each
-other member pushes just the child its retiring entry makes (k from that
-view and k + 1, kept under the window without the entry) and is counted
-``merged``.  The states kept are the ones a full expansion keeps.
+Folds: at a desired column k that fulfils none of a promise set's
+promises, a window of the set is folded when another of its windows has a
+smaller ``(value, back)`` and, leaving out both windows' entries of the
+retiring view ``k - D + 1``, holds the same entries (the two are twins) or
+the same entries but for one, in which it holds a strict superset of the
+users.  A folded window pushes just the child its retiring entry makes (k
+from that view and k + 1, kept under the window without the entry).  Each
+of its other children has a counterpart from the cheaper window with the
+same views and promise set, every delivery tree a superset and a smaller
+``(value, back)``; a larger tree never pays more for a later user (an exact
+price is a union's size, a literal or per_view marginal does not depend on
+the users so far), so no total, theta or tie changes.  Twins are grouped
+first, and only each group's smallest ``(value, back)``, its lead, may
+expand; each other member is counted ``merged``.  A twin's other children
+have its lead's keys, so these folds keep the states a full expansion
+keeps.  Then a lead that another lead dominates in one entry is counted
+``dominated`` (the other may be folded too: dominance is transitive); its
+children's keys are not the other's, so these folds keep fewer states.
 
 In exact mode the sweep is a branch-and-bound.  Its upper bound is
 mmdea's optimum for the segment (``mmdea.solve_segment``, which hands
@@ -61,7 +71,8 @@ only for a promise set holding a value above that floor.  Literal and
 per_view prices need not telescope, so those modes prune nothing.
 ``SolveResult.stats`` counts ``states`` kept (summed over columns), the
 ``peak`` column, the children ``cut``, the states ``pruned``, the twins
-``merged`` and the delivery ``trees`` priced (the memos' sizes).
+``merged``, the leads ``dominated`` and the delivery ``trees`` priced (the
+memos' sizes).
 
 A segment is refused (``StateSpaceError``) past ``STATE_CAP`` kept states
 in one column or ten times that summed over its columns.  A segment
@@ -160,7 +171,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
     if ub is not None:
         h, pts = _suffix_bounds(masks, m, M, D)
     states = {(): {(): (0, None)}}  # promises -> window -> (value, back)
-    swept = cut = pruned = merged = 0
+    swept = cut = pruned = merged = dominated = 0
     for k in range(m, M + 1):
         nxt = {}
         group = nxt.setdefault
@@ -188,16 +199,22 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
             items = windows.items()
             if wanted and not due:
                 # by right source r = k+1..: the windows of the promise set
-                # that adds user k to r, where children synthesized from r go
-                old = dict(promises)
-                rights = [group(tuple(sorted({**old, r: old.get(r, 0) | bit}
-                                             .items())), {})
-                          for r in range(k + 1, min(M, k + D - 1) + 1)]
+                # that adds user k to r, where children synthesized from r go,
+                # each set built in one walk over the sorted promises
+                # (every promise is above k, so promises[i] is never below r)
+                rights, i, n = [], 0, len(promises)
+                for r in range(k + 1, min(M, k + D - 1) + 1):
+                    if i < n and promises[i][0] == r:
+                        key = (promises[:i] + ((r, promises[i][1] | bit),)
+                               + promises[i + 1:])
+                        i += 1
+                    else:
+                        key = promises[:i] + ((r, bit),) + promises[i:]
+                    rights.append(group(key, {}))
                 if len(windows) > 1:
-                    # twins (see the module docstring): each group of
-                    # windows alike but for their retiring entry expands
-                    # only its smallest (value, back), its lead
-                    leads = {}
+                    # folds (see the module docstring): twins group under
+                    # their smallest (value, back), their lead
+                    leads, folds = {}, []
                     for window, vb in items:
                         kept = (window[1:] if window and window[0][0] == gone
                                 else window)
@@ -207,16 +224,42 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
                         if vb < lead[1]:  # window leads; the old lead folds
                             leads[kept] = window, vb
                             window, vb = lead
-                        merged += 1
+                        folds.append((kept, window, vb))
+                    merged += len(folds)
+                    if len(leads) > 1:
+                        # a lead folds when a cheaper lead is alike but for
+                        # one kept entry, where it holds a strict superset
+                        # of the users: each lead is filed under each entry
+                        # with its users blanked
+                        buckets = {}
+                        for kept, (_, vb) in leads.items():
+                            for j, (view, users) in enumerate(kept):
+                                buckets.setdefault(
+                                    kept[:j] + (view,) + kept[j + 1:], []
+                                ).append((users, vb, kept))
+                        for bucket in buckets.values():
+                            if len(bucket) == 1:
+                                continue
+                            for users, vb, kept in bucket:
+                                if kept not in leads:
+                                    continue  # folded in another entry
+                                for u2, vb2, _ in bucket:
+                                    if u2 | users == u2 and vb2 < vb:
+                                        folds.append((kept, *leads.pop(kept)))
+                                        dominated += 1
+                                        break
+                    # a folded window pushes just the child its retiring
+                    # entry makes: k from that view and k + 1
+                    for kept, window, (value, back) in folds:
                         if window is kept or not rights:
                             continue  # no retiring entry, or no right source
                         entry = window[0]
-                        v2 = (vb[0] + trees[gone, entry[1] | bit][1]
+                        v2 = (value + trees[gone, entry[1] | bit][1]
                               - trees[entry][1])
                         if v2 > lim:
                             cut += 1
                             continue
-                        child = (v2, (vb[1], (k, (gone, k + 1))))
+                        child = (v2, (back, (k, (gone, k + 1))))
                         if rights[0].setdefault(kept, child) > child:
                             rights[0][kept] = child
                     items = leads.values()
@@ -280,6 +323,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
     stats["cut"] += cut
     stats["pruned"] += pruned
     stats["merged"] += merged
+    stats["dominated"] += dominated
     stats["trees"] += len(trees)
 
     if not states:
@@ -300,7 +344,7 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
     stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "merged": 0,
-             "trees": 0}
+             "dominated": 0, "trees": 0}
 
     def solve_one(seg, masks):
         # a non-crossing selection is a crossing-allowed one, so mmdea's

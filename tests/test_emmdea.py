@@ -155,10 +155,11 @@ class TestBranchAndBound:
         tree, demand = demo_instance()
         exact = solve_extended(tree, demand, 4).stats
         literal = solve_extended(tree, demand, 4, "literal").stats
-        assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 30)
-        # windows alike but for their retiring entry are expanded once, so
-        # the entries only their twins' children would reach go unpriced
-        assert (literal["states"], literal["trees"]) == (138, 57)
+        assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 28)
+        # a folded window pushes only its retiring entry's child, so the
+        # states and entries only its other children would reach go unkept
+        # and unpriced
+        assert (literal["states"], literal["trees"]) == (119, 55)
 
     def test_a_d_wider_than_the_segment_costs_what_the_segment_does(self):
         # the demo's one segment spans views 2..8, so no D past 8 changes a
@@ -206,9 +207,9 @@ class TestBranchAndBound:
         assert "unsound" in row["error"]
 
 
-def run_instances(monkeypatch, views, d, clients, dist, samples):
-    """The (tree, demand) of each sample `mmds run` draws at seed 2024 on
-    the bundled topology."""
+def run_instances(monkeypatch, views, d, clients, dist, samples, seed=2024):
+    """The (tree, demand) of each sample `mmds run` draws at `seed` on the
+    bundled topology."""
     drawn = []
     monkeypatch.setattr(cli, "_solver_row",
                         lambda base, solver, tree, demand, D, phi:
@@ -216,27 +217,29 @@ def run_instances(monkeypatch, views, d, clients, dist, samples):
     graph = parse_topology(KDL_PATH)
     cfg = ScenarioConfig(topology=KDL_PATH, views=views, d=d, clients=clients,
                          dist=dist, solvers=("emmdea",), samples=samples,
-                         seed=2024)
+                         seed=seed)
     for i in range(samples):
         cli._run_sample(cfg, graph, cli._client_candidates(graph), i)
     return drawn
 
 
-# The states the sweep keeps, as the sweep that expanded every window in
-# full kept them: `states` and `pruned` summed over the samples, `peak` the
-# largest solve's.
+# The states the sweep keeps, `states` and `pruned` summed over the samples
+# and `peak` the largest solve's, and as the sweep that folded only twins
+# kept them (a full expansion keeps those too).
 KEPT = {
-    "relaxed": ((24, 4, 400, "zipf:1", 32), (43_805, 224, 16_830)),
-    "K=12, D=6, 753 clients": ((12, 6, 753, "uniform", 2), (76, 12, 249)),
-    "K=40, D=5": ((40, 5, 400, "uniform", 2), (179_399, 4_404, 25_271)),
+    "relaxed": ((24, 4, 400, "zipf:1", 32),
+                (28_170, 218, 8_207), (43_805, 224, 16_830)),
+    "K=12, D=6, 753 clients": ((12, 6, 753, "uniform", 2),
+                               (76, 12, 249), (76, 12, 249)),
+    "K=40, D=5": ((40, 5, 400, "uniform", 2),
+                  (81_498, 2_214, 9_915), (179_399, 4_404, 25_271)),
 }
 
 
 @pytest.mark.parametrize("shape", KEPT)
-def test_folded_twins_keep_the_states_a_full_expansion_keeps(monkeypatch,
-                                                             shape):
-    (views, d, clients, dist, samples), kept = KEPT[shape]
-    states = peak = pruned = merged = 0
+def test_dominated_leads_fold_below_a_full_expansion(monkeypatch, shape):
+    (views, d, clients, dist, samples), kept, twins_kept = KEPT[shape]
+    states = peak = pruned = merged = dominated = 0
     for tree, demand in run_instances(monkeypatch, views, d, clients, dist,
                                       samples):
         stats = solve_extended(tree, demand, d).stats
@@ -244,9 +247,24 @@ def test_folded_twins_keep_the_states_a_full_expansion_keeps(monkeypatch,
         peak = max(peak, stats["peak"])
         pruned += stats["pruned"]
         merged += stats["merged"]
+        dominated += stats["dominated"]
     assert (states, peak, pruned) == kept
-    if views > 12:  # K=12's bound leaves no twins to fold
-        assert merged > 0
+    if views > 12:
+        assert merged > 0 and dominated > 0
+        assert all(now < then for now, then in zip(kept, twins_kept))
+    else:  # K=12's bound leaves nothing to fold, so it keeps what it kept
+        assert merged == dominated == 0
+
+
+def test_a_sample_that_twin_folds_alone_refused_solves(monkeypatch):
+    # K=20, D=7, 100 clients, sample 1 at seed 3: folding only twins kept
+    # 226,939 states at column 11, past the cap of 200,000 a column, and
+    # refused it; folding dominated leads too, no column keeps 102,000
+    tree, demand = run_instances(monkeypatch, 20, 7, 100, "uniform", 2,
+                                 seed=3)[1]
+    result = solve_extended(tree, demand, 7)
+    assert result.total == result.evaluated == 918
+    assert result.total <= solve_general(tree, demand, 7).total
 
 
 def test_emmdea_bounds_with_the_samples_own_mmdea_tables(monkeypatch):
@@ -395,6 +413,7 @@ class TestAgainstFrozensetReference:
         got = solve_extended(tree, demand, D, mode=mode)
         assert (got.total, list(got.theta.items()), got.per_segment) == \
             reference_extended(tree, demand, D, mode)
+        return got
 
     @pytest.mark.parametrize("mode", MODES)
     def test_random_trees(self, rng, mode):
@@ -405,10 +424,14 @@ class TestAgainstFrozensetReference:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_relaxed_shaped_bundled_instances(self, mode):
+        # the reference prunes and folds nothing, so it checks the folds
+        dominated = 0
         for seed in range(6):
             tree, demand = bundled_instance(
                 DemandDistribution("zipf", 24, exponent=1.0), seed)
-            self.assert_matches(tree, demand, 4, mode)
+            dominated += self.assert_matches(tree, demand, 4,
+                                             mode).stats["dominated"]
+        assert dominated > 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_bundled_k12_d5(self, mode):
