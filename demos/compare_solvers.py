@@ -8,19 +8,19 @@ oracle can run.
 
 import random
 
-from mmds import (DemandMap, ShortestPathTree, brute_force_emmds,
+from mmds import (DemandMap, Instance, ShortestPathTree, brute_force_emmds,
                   brute_force_mmds, demo_instance, h_solve, omds,
                   solve_extended, solve_general)
 
-tree, demand = demo_instance()
+inst = Instance(*demo_instance())  # one sample, shared by every solver
 D = 4
 print("sample network, D=4:")
-print("  omds      :", omds(tree, demand).total)
-print("  mmdea     :", solve_general(tree, demand, D).total)
-print("  emmdea    :", solve_extended(tree, demand, D).total)
-print("  hmmdea    :", h_solve(tree, demand, D).total)
-print("  oracle    :", brute_force_mmds(tree, demand, D).total)
-print("  oracle-ext:", brute_force_emmds(tree, demand, D).total)
+print("  omds      :", omds(inst).total)
+print("  mmdea     :", solve_general(inst, D).total)
+print("  emmdea    :", solve_extended(inst, D).total)
+print("  hmmdea    :", h_solve(inst, D).total)
+print("  oracle    :", brute_force_mmds(inst, D).total)
+print("  oracle-ext:", brute_force_emmds(inst, D).total)
 
 print("\nan instance where crossing selections strictly help:")
 # clients for views 1, 2 and 4 share a deep branch; view 3 sits near the
@@ -36,8 +36,9 @@ for leaf in ("g1", "g3", "g4"):
 parents["g2"] = "root"
 tree2 = ShortestPathTree("root", parents, ["g1", "g2", "g3", "g4"])
 demand2 = DemandMap({"g1": 1, "g2": 3, "g3": 2, "g4": 4}, 4)
-mm = solve_general(tree2, demand2, 3)
-ext = solve_extended(tree2, demand2, 3)
+inst2 = Instance(tree2, demand2)
+mm = solve_general(inst2, 3)
+ext = solve_extended(inst2, 3)
 print(f"  non-crossing: {mm.total}  theta={mm.theta}")
 print(f"  crossing    : {ext.total}  theta={ext.theta}")
 
@@ -52,9 +53,10 @@ for _ in range(200):
     t = ShortestPathTree(0, parents, terms)
     d = DemandMap({x: rng.randint(1, K) for x in terms}, K, t.terminals)
     D = rng.choice([2, 3, 4, 5])
-    base = omds(t, d).total
-    opt = solve_general(t, d, D).total
-    heur = h_solve(t, d, D).total
+    sample = Instance(t, d)
+    base = omds(sample).total
+    opt = solve_general(sample, D).total
+    heur = h_solve(sample, D).total
     assert opt <= heur <= base
     if base:
         worst_gap = max(worst_gap, (heur - opt) / base)

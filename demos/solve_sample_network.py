@@ -6,21 +6,22 @@ stream.  Sending every desired view down its own multicast tree costs 45
 transmitted neighbours at most D=4 apart drops the total to 32.
 """
 
-from mmds import (demo_instance, edge_view_loads, omds, solve_general,
-                  transmitted_views)
+from mmds import (Instance, demo_instance, edge_view_loads, omds,
+                  solve_general, transmitted_views)
 from mmds.graphs import segment_views
-from mmds.mmdea import solve_segment
+from mmds.mmdea import solved_segment
 
 tree, demand = demo_instance()
 print(f"tree: {len(tree.arcs)} arcs, {len(tree.terminals)} clients, "
       f"root {tree.root}")
 print("demand:", dict(sorted(demand.demand.items())))
 
-baseline = omds(tree, demand)
+inst = Instance(tree, demand)  # the view masks, built once for both solvers
+baseline = omds(inst)
 print(f"\ndirect delivery (omds): {baseline.total} units")
 
 D = 4
-result = solve_general(tree, demand, D)
+result = solve_general(inst, D)
 print(f"optimal with D={D}: {result.total} units "
       f"({1 - result.total / baseline.total:.0%} saved)")
 print("transmitted views:", result.transmitted)
@@ -29,9 +30,9 @@ for v in sorted(result.theta):
     how = "sent directly" if l == r else f"synthesized from ({l}, {r})"
     print(f"  view {v}: {how}")
 
-# the per-column minima of the DP lattice, for the curious
+# the per-column minima of the DP lattice, which the instance kept
 seg = segment_views(demand, D)[0]
-_, _, table = solve_segment(tree, demand, seg, D, "exact")
+_, _, table = solved_segment(inst, seg, D)
 print("\nDP column minima:",
       {k: table.minimum(k) for k in range(seg.lo, seg.hi + 1)})
 

@@ -2,8 +2,9 @@
 multi-view video, where a client's desired view may be synthesized from
 two transmitted neighbour views at most D indices apart."""
 
-from .cost import (INFEASIBLE, SolveResult, SolverError, edge_view_loads,
-                   evaluate_cost, two_view_fraction, view_masks, view_trees)
+from .cost import (INFEASIBLE, Instance, SolveResult, SolverError,
+                   edge_view_loads, evaluate_cost, two_view_fraction,
+                   view_masks, view_trees)
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import (DemandMap, NetworkGraph, Segment, ShortestPathTree,
                      build_spt, check_quality, identity_selection,

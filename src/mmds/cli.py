@@ -27,7 +27,7 @@ import numpy as np
 # loaded here, before `run_scenario` forks, so no child pays the import
 from numpy.random import SeedSequence, default_rng
 
-from .cost import PHI_MODES, SolverError, two_view_fraction
+from .cost import PHI_MODES, Instance, SolverError, two_view_fraction
 from .emmdea import StateSpaceError, solve_extended
 from .graphs import build_spt, check_quality
 from .hmmdea import h_solve
@@ -37,16 +37,16 @@ from .oracle import OracleGuardError, brute_force_emmds, brute_force_mmds, omds
 from .workload import (DemandDistribution, draw_demand, generate_topology,
                        is_integer, parse_topology, read_demand)
 
-# name -> call(tree, demand, D, phi); `run_solver`, the `solve --solver`
-# choices and `run_scenario`'s solver check read it.  Each call looks its
-# solver up when it runs, so a replaced module attribute takes effect.
+# name -> call(inst, D, phi) on a `cost.Instance`; `run_solver`, `_solver_row`,
+# the `solve --solver` choices and `run_scenario`'s solver check read it.  Each
+# call looks its solver up when it runs, so a replaced attribute takes effect.
 SOLVERS = {
-    "omds": lambda tree, demand, D, phi: omds(tree, demand),
-    "mmdea": lambda tree, demand, D, phi: solve_general(tree, demand, D, phi),
-    "emmdea": lambda tree, demand, D, phi: solve_extended(tree, demand, D, phi),
-    "hmmdea": lambda tree, demand, D, phi: h_solve(tree, demand, D),
-    "oracle": lambda tree, demand, D, phi: brute_force_mmds(tree, demand, D),
-    "oracle-ext": lambda tree, demand, D, phi: brute_force_emmds(tree, demand, D),
+    "omds": lambda inst, D, phi: omds(inst),
+    "mmdea": lambda inst, D, phi: solve_general(inst, D, phi),
+    "emmdea": lambda inst, D, phi: solve_extended(inst, D, phi),
+    "hmmdea": lambda inst, D, phi: h_solve(inst, D),
+    "oracle": lambda inst, D, phi: brute_force_mmds(inst, D),
+    "oracle-ext": lambda inst, D, phi: brute_force_emmds(inst, D),
 }
 
 # The `--phi` spellings of cost.PHI_MODES: `main` maps "-" back to "_".
@@ -122,8 +122,8 @@ def parse_dist(spec: str, view_count: int) -> DemandDistribution:
 
 
 def run_solver(name: str, tree, demand, D: int, phi: str):
-    """Solve with `SOLVERS[name]`; `name` is one of its keys."""
-    return SOLVERS[name](tree, demand, D, phi)
+    """Solve a fresh instance with `SOLVERS[name]`, `name` one of its keys."""
+    return SOLVERS[name](Instance(tree, demand), D, phi)
 
 
 def sample_seed_of(master: int, index: int) -> int:
@@ -157,10 +157,11 @@ def _run_sample(config, graph, candidates, index):
 
 
 def _sample_rows(config, index, sample_seed, tree, demand):
-    """One row per solver of `config` for sample `index` on `tree`."""
+    """One row per solver of `config` for sample `index`, on one instance."""
     base = _echo(config)
     base.update({"sample": index, "sample_seed": sample_seed})
-    return [_solver_row(base, s, tree, demand, config.d, config.phi)
+    inst = Instance(tree, demand)
+    return [_solver_row(base, s, inst, config.d, config.phi)
             for s in config.solvers]
 
 
@@ -171,12 +172,12 @@ def _usable_cores() -> int:
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _solver_row(base, solver, tree, demand, D, phi):
+def _solver_row(base, solver, inst, D, phi):
     row = dict(base)
     row.update({"solver": solver, "status": "ok", "error": ""})
     start = time.perf_counter()
     try:
-        result = run_solver(solver, tree, demand, D, phi)
+        result = SOLVERS[solver](inst, D, phi)
     except Exception as exc:  # one failing solve must not abort the batch
         refused = isinstance(exc, REFUSALS)
         error = str(exc) if refused else f"{type(exc).__name__}: {exc}"
@@ -190,7 +191,7 @@ def _solver_row(base, solver, tree, demand, D, phi):
     row.update({
         "total_bandwidth": result.total,
         "evaluated_cost": result.evaluated,
-        "two_view_fraction": round(two_view_fraction(result, demand), 6),
+        "two_view_fraction": round(two_view_fraction(result, inst.demand), 6),
         "runtime_ms": round(elapsed, 3),
     })
     return row

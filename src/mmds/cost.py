@@ -11,10 +11,11 @@ unused the bits of arcs off the terminals' paths.
 Bandwidth is a count of (arc, view) pairs.  INFEASIBLE is an absorbing
 sentinel: INFEASIBLE + x == INFEASIBLE and min(INFEASIBLE, x) == x.
 
-`view_masks` builds a sample's view masks once, read-only, for all its
-solvers, oracles and certificates.  Each solver and oracle runs its
-per-segment search under `solve_by_segment`, which certifies the joined
-selection against `evaluate_cost`; a solver module holds only its search.
+An `Instance` is one sample: its view masks, built once, read-only, for
+all its solvers, oracles and certificates, and mmdea's segment results.
+Each solver and oracle takes it and runs its per-segment search under
+`solve_by_segment`, which certifies the joined selection; a solver module
+holds only its search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .graphs import (DemandMap, ShortestPathTree, segment_views,
                      transmitted_views, validate_selection)
 
 PHI_MODES = ("literal", "exact", "per_view")
-_last = (None, None, None)  # (tree, demand, masks) of the latest build
 
 
 class SolverError(RuntimeError):
@@ -50,20 +50,24 @@ class SolveResult:
 def view_masks(tree: ShortestPathTree, demand: DemandMap) -> MappingProxyType:
     """Map each desired view to its view tree as an int bitmask, the OR of
     its subscribers' `tree.path_mask`, so that |A - B| is
-    `(a & ~b).bit_count()`.  The mapping is read-only, and a call with the
-    tree and demand objects of the latest build returns that build: a tree
-    and a demand are never changed after they are built."""
-    global _last
-    last = _last
-    if last[0] is tree and last[1] is demand:
-        return last[2]
+    `(a & ~b).bit_count()`.  The mapping is read-only."""
     path_mask = tree.path_mask
     out = {}
     for t, v in demand.demand.items():
         out[v] = out.get(v, 0) | path_mask[t]
-    masks = MappingProxyType(out)
-    _last = (tree, demand, masks)
-    return masks
+    return MappingProxyType(out)
+
+
+class Instance:
+    """One sample, whose tree and demand are never changed after they are
+    built: `masks`, their `view_masks`, built once, and `solved`, mmdea's
+    segment results keyed (lo, hi, members, D, mode), which emmdea's bound
+    reads, so that a sample's mmdea row and emmdea fill one DP table."""
+
+    def __init__(self, tree: ShortestPathTree, demand: DemandMap):
+        self.tree, self.demand = tree, demand
+        self.masks = view_masks(tree, demand)
+        self.solved = {}
 
 
 def view_trees(tree: ShortestPathTree, demand: DemandMap) -> dict:
@@ -122,29 +126,28 @@ def _check_mode(mode):
     return mode
 
 
-def solve_by_segment(name: str, tree: ShortestPathTree, demand: DemandMap,
-                     D: int, solve_one, mode: str | None = None,
-                     crossing_allowed: bool = False,
+def solve_by_segment(name: str, inst: Instance, D: int, solve_one,
+                     mode: str | None = None, crossing_allowed: bool = False,
                      stats: dict | None = None) -> SolveResult:
-    """Run `solve_one(seg, view_masks(tree, demand)) -> (value, theta)` on
-    every maximal segment of the desired views and certify the joined
-    selection as solver `name`'s result: it must be valid for D, and its
-    total must equal its `evaluate_cost` re-cost, which unions each
-    transmitted view's receivers and shares no solver's telescoped prices;
-    literal and per_view prices may exceed it, but none may fall below it."""
+    """Run `solve_one(seg, inst.masks) -> (value, theta)` on every maximal
+    segment of the desired views and certify the joined selection as
+    solver `name`'s result: it must be valid for D, and its total must
+    equal its `cost_of_parts` re-cost, which unions each transmitted view's
+    receivers and shares no solver's telescoped prices; literal and
+    per_view prices may exceed it, but none may fall below it."""
     if mode is not None:
         _check_mode(mode)
-    masks = view_masks(tree, demand)
+    masks = inst.masks
     total, theta, per_segment = 0, {}, []
-    for seg in segment_views(demand, D):
+    for seg in segment_views(inst.demand, D):
         value, th = solve_one(seg, masks)
         total += value
         theta.update(th)
         per_segment.append((seg, value))
-    issues = validate_selection(theta, demand, D, crossing_allowed)
+    issues = validate_selection(theta, inst.demand, D, crossing_allowed)
     if issues:
         raise SolverError(f"{name} selection is invalid: " + "; ".join(issues))
-    evaluated = evaluate_cost(tree, demand, theta)
+    evaluated = cost_of_parts(masks, theta)
     if total < evaluated:
         raise SolverError(f"{name} value {total} below true cost {evaluated}")
     if total != evaluated and mode not in ("literal", "per_view"):

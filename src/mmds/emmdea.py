@@ -27,7 +27,7 @@ users, so a view leaving the window (no later view can select it) changes
 no value and final values are the true per-arc cost of the assembled
 selection.  ``back`` is a cons cell ``(parent_back, (k, (l, r)))``,
 decoded into theta for the best final state only.  Delivery trees are
-``cost.view_masks`` bitmasks.
+unions of the view masks of the sample's ``cost.Instance``.
 
 Ties: of two states with one key and one value the sweep keeps the
 smaller ``back`` (tuple order, which compares picks from the first column
@@ -55,9 +55,9 @@ keeps.  Then a lead that another lead dominates in one entry is counted
 children's keys are not the other's, so these folds keep fewer states.
 
 In exact mode the sweep is a branch-and-bound.  Its upper bound is
-mmdea's optimum for the segment (``mmdea.solve_segment``, which hands
-back the sample's own mmdea result when mmdea ran first), since a
-non-crossing selection is a crossing-allowed one.  h[k]
+mmdea's optimum for the segment (``mmdea.solved_segment``, which reads
+the sample's own mmdea result from its instance when mmdea ran first),
+since a non-crossing selection is a crossing-allowed one.  h[k]
 bounds the views transmitted above k: each desired p > k needs, on every
 arc of its tree, a right source r with p <= r <= p+D-1, and the least such
 stabbing set is found on every arc at once, greedily from the top, with
@@ -88,9 +88,8 @@ from __future__ import annotations
 from itertools import accumulate
 from math import inf
 
-from .cost import SolveResult, SolverError, solve_by_segment
-from .graphs import DemandMap, ShortestPathTree
-from .mmdea import solve_segment
+from .cost import Instance, SolveResult, SolverError, solve_by_segment
+from .mmdea import solved_segment
 
 STATE_CAP = 200_000
 
@@ -339,8 +338,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
     return value, dict(reversed(picks))
 
 
-def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
-                   mode: str = "exact") -> SolveResult:
+def solve_extended(inst: Instance, D: int, mode: str = "exact") -> SolveResult:
     """Optimal crossing-allowed view selection (exact mode); in literal /
     per_view mode the same sweep is priced with closed-form marginals."""
     stats = {"states": 0, "peak": 0, "pruned": 0, "cut": 0, "merged": 0,
@@ -349,10 +347,10 @@ def solve_extended(tree: ShortestPathTree, demand: DemandMap, D: int,
     def solve_one(seg, masks):
         # a non-crossing selection is a crossing-allowed one, so mmdea's
         # optimum bounds the sweep; only exact mode prices telescope
-        ub = (solve_segment(tree, demand, seg, D, "exact")[0]
+        ub = (solved_segment(inst, seg, D, "exact")[0]
               if mode == "exact" else None)
         return _solve_segment(masks, frozenset(seg.members), seg.lo, seg.hi,
                               D, mode, ub, stats)
 
-    return solve_by_segment("emmdea", tree, demand, D, solve_one, mode,
+    return solve_by_segment("emmdea", inst, D, solve_one, mode,
                             crossing_allowed=True, stats=stats)

@@ -6,8 +6,8 @@ trees alone: three popcounts.  Only the strictly best improvement is
 committed per round, so the cost decreases monotonically.
 
 A move changes only its own segment's trees, so each segment runs its own
-greedy under ``cost.solve_by_segment`` on copies of the shared masks,
-checking every round with ``cost.cost_of_parts``.  One greedy over all
+greedy under ``cost.solve_by_segment`` on copies of the instance's shared
+masks, checking every round with ``cost.cost_of_parts``.  One greedy over all
 segments commits, each round, the best next move among the segments,
 ranked by (-gain, view, width); ``heapq.merge`` over the segments' moves
 gives back that order for ``round_costs``.
@@ -19,9 +19,9 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .cost import (SolveResult, SolverError, cost_of_parts, phi,
+from .cost import (Instance, SolveResult, SolverError, cost_of_parts, phi,
                    solve_by_segment)
-from .graphs import DemandMap, Segment, ShortestPathTree
+from .graphs import Segment
 
 
 @dataclass
@@ -65,18 +65,18 @@ def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
         cost += change
 
 
-def h_solve(tree: ShortestPathTree, demand: DemandMap, D: int) -> HeuristicResult:
+def h_solve(inst: Instance, D: int) -> HeuristicResult:
     """Improvement heuristic over transmitted views; the result always
     sits between the optimum and direct delivery.  `round_costs` lists the
     total after each round of one greedy over all segments; the views on
-    each arc are `cost.edge_view_loads(tree, demand, result.theta)`."""
+    each arc are `cost.edge_view_loads` of `result.theta`."""
     moves = []   # per segment: its committed moves
 
     def solve_one(seg, masks):
         moves.append([])
         return _improve(seg, masks, D, moves[-1])
 
-    result = solve_by_segment("hmmdea", tree, demand, D, solve_one)
+    result = solve_by_segment("hmmdea", inst, D, solve_one)
     changes = [change for change, _, _ in heapq.merge(*moves)]
     history = list(accumulate(changes, initial=result.total - sum(changes)))
     return HeuristicResult(**vars(result), round_costs=history)

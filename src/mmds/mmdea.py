@@ -24,10 +24,10 @@ Three ways of pricing a synthesis step are supported:
 * ``per_view`` - like ``literal`` but summed per intermediate view,
                  double-counting arcs shared between their trees.
 
-Arc sets are int bitmasks from ``cost.view_masks``, built once per sample
-and shared read-only, so every price is a popcount: |A - B| is
-``(a & ~b).bit_count()``.  The DP runs per segment under
-``cost.solve_by_segment``, which certifies the joined selection.
+Arc sets are the int bitmasks of the sample's ``cost.Instance``, shared
+read-only, so every price is a popcount: |A - B| is ``(a & ~b).bit_count()``.
+The DP runs per segment under ``cost.solve_by_segment``, which certifies
+the joined selection; the instance keeps each segment's result.
 
 An anchor variant's price splits in two.  The part that is the same for
 every predecessor variant j of the anchor column (v_k's own tree, and in
@@ -50,13 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost import (INFEASIBLE, SolveResult, SolverError, _check_mode, phi,
-                   solve_by_segment, view_masks)
+from .cost import (INFEASIBLE, Instance, SolveResult, SolverError,
+                   _check_mode, phi, solve_by_segment)
 from .graphs import DemandMap, Segment, ShortestPathTree
 
 # the one cell of every variant off its column's staircase
 DROPPED = (INFEASIBLE, None, 0)
-_solved = (None, {})  # (masks, results) of the latest view_masks build
 
 
 @dataclass
@@ -87,19 +86,20 @@ class CostTable:
 
 def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                   D: int, mode: str = "exact") -> tuple:
-    """Fill the DP table for one segment; returns (cost, theta, table).  The
-    results are kept for the latest `view_masks` build, so a call with the
-    tree and demand objects of the latest call, and the same segment, D and
-    mode, returns the kept result, which callers only read: a sample's
-    mmdea row and emmdea's bound fill one table."""
-    global _solved
+    """`solved_segment` on a fresh instance of `tree` and `demand`."""
+    return solved_segment(Instance(tree, demand), seg, D, mode)
+
+
+def solved_segment(inst: Instance, seg: Segment, D: int,
+                   mode: str = "exact") -> tuple:
+    """Fill the DP table for one segment; returns (cost, theta, table),
+    which `inst.solved` keeps for the same segment, D and mode, so callers
+    only read it."""
     _check_mode(mode)
-    masks = view_masks(tree, demand)
-    if _solved[0] is not masks:
-        _solved = (masks, {})
     key = (seg.lo, seg.hi, seg.members, D, mode)
-    if key in _solved[1]:
-        return _solved[1][key]
+    if key in inst.solved:
+        return inst.solved[key]
+    masks = inst.masks
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
@@ -197,24 +197,22 @@ def solve_segment(tree: ShortestPathTree, demand: DemandMap, seg: Segment,
                 if v in desired:
                     theta[v] = (a, k)
     theta[m] = (m, m)
-    solved = _solved[1][key] = value, theta, table
+    solved = inst.solved[key] = value, theta, table
     return solved
 
 
-def solve_general(tree: ShortestPathTree, demand: DemandMap, D: int,
-                  mode: str = "exact") -> SolveResult:
+def solve_general(inst: Instance, D: int, mode: str = "exact") -> SolveResult:
     """Optimal non-crossing view selection over all segments."""
     stats = {"cells": 0, "prices": 0, "cut": 0}
 
-    def solve_one(seg, _masks):  # solve_segment reads the same masks
-        value, theta, table = solve_segment(tree, demand, seg, D, mode)
+    def solve_one(seg, _masks):  # solved_segment reads the same masks
+        value, theta, table = solved_segment(inst, seg, D, mode)
         stats["cells"] += table.cells
         stats["prices"] += table.prices
         stats["cut"] += table.cut
         return value, theta
 
-    return solve_by_segment("mmdea", tree, demand, D, solve_one, mode,
-                            stats=stats)
+    return solve_by_segment("mmdea", inst, D, solve_one, mode, stats=stats)
 
 
 def solve_d2(seg: Segment, tree: ShortestPathTree, demand: DemandMap,

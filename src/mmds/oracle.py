@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from .cost import SolveResult, cost_of_parts, evaluate_cost, solve_by_segment
-from .graphs import (DemandMap, Segment, ShortestPathTree, identity_selection,
-                     transmitted_views)
+from .cost import Instance, SolveResult, cost_of_parts, solve_by_segment
+from .graphs import Segment, identity_selection, transmitted_views
 
 MMDS_SPAN_GUARD = 22
 EMMDS_PRODUCT_GUARD = 10 ** 7
@@ -26,10 +25,10 @@ class OracleGuardError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-def omds(tree: ShortestPathTree, demand: DemandMap) -> SolveResult:
+def omds(inst: Instance) -> SolveResult:
     """Direct multicast of every desired view, no synthesis."""
-    theta = identity_selection(demand)
-    cost = evaluate_cost(tree, demand, theta)
+    theta = identity_selection(inst.demand)
+    cost = cost_of_parts(inst.masks, theta)
     return SolveResult(cost, theta, transmitted_views(theta), [], cost, "omds")
 
 
@@ -45,7 +44,7 @@ def _theta_for_fset(fset, members):
     return theta
 
 
-def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
+def brute_force_mmds(inst: Instance, D: int) -> SolveResult:
     """Exhaustive optimum of the non-crossing problem via transmitted sets."""
     def solve_one(seg, masks):
         if seg.hi - seg.lo > MMDS_SPAN_GUARD:
@@ -64,7 +63,7 @@ def brute_force_mmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solve
                 best = (cost, cand)
         return best
 
-    return solve_by_segment("oracle", tree, demand, D, solve_one)
+    return solve_by_segment("oracle", inst, D, solve_one)
 
 
 def selection_options(v: int, seg: Segment, D: int) -> list:
@@ -77,7 +76,7 @@ def selection_options(v: int, seg: Segment, D: int) -> list:
     return opts
 
 
-def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> SolveResult:
+def brute_force_emmds(inst: Instance, D: int) -> SolveResult:
     """Exhaustive optimum of the relaxed (crossing allowed) problem."""
     def solve_one(seg, masks):
         options = {v: selection_options(v, seg, D) for v in seg.members}
@@ -105,5 +104,5 @@ def brute_force_emmds(tree: ShortestPathTree, demand: DemandMap, D: int) -> Solv
                 best = (cost, cand)
         return best
 
-    return solve_by_segment("oracle-ext", tree, demand, D, solve_one,
+    return solve_by_segment("oracle-ext", inst, D, solve_one,
                             crossing_allowed=True)

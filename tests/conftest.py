@@ -132,11 +132,12 @@ def rng():
 HASH_SEED_SCRIPT = """
 import csv, io, sys, warnings
 from contextlib import redirect_stdout
-from mmds import cli, demo_instance, edge_view_loads, h_solve, parse_topology
+from mmds import (Instance, cli, demo_instance, edge_view_loads, h_solve,
+                  parse_topology)
 warnings.simplefilter("ignore")
 tmp = sys.argv[1]
 tree, demand = demo_instance()
-result = h_solve(tree, demand, 4)
+result = h_solve(Instance(tree, demand), 4)
 print(tree.arc_list)
 print(list(edge_view_loads(tree, demand, result.theta)))
 print([(t, sorted(tree.arcs_of(tree.path_mask[t]))) for t in tree.path_mask])

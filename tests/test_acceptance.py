@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from mmds import (DemandMap, ShortestPathTree, brute_force_emmds,
+from mmds import (DemandMap, Instance, ShortestPathTree, brute_force_emmds,
                   brute_force_mmds, evaluate_cost, h_solve, omds,
                   parse_topology, segment_views, solve_d2, solve_d3,
                   solve_extended, solve_general, solve_segment,
@@ -91,9 +91,9 @@ def _mean(rows, solver, field="total_bandwidth"):
 def test_criterion_1_golden_instance():
     start = time.perf_counter()
     tree, demand = demo_instance()
-    assert omds(tree, demand).total == 45
+    assert omds(Instance(tree, demand)).total == 45
 
-    res = solve_general(tree, demand, 4, mode="exact")
+    res = solve_general(Instance(tree, demand), 4, mode="exact")
     assert res.total == 32
     assert res.transmitted == (2, 4, 8)
     assert res.theta == THETA_STAR
@@ -116,12 +116,12 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(n_instances):
         tree, demand = _random_instance(rng)
         D = rng.choice([2, 3, 4, 5])
-        want = brute_force_mmds(tree, demand, D)
-        got = solve_general(tree, demand, D, mode="exact")
+        want = brute_force_mmds(Instance(tree, demand), D)
+        got = solve_general(Instance(tree, demand), D, mode="exact")
         if got.total != want.total:
             exact_bad.append(_serialize(tree, demand, D)
                              | {"dp": got.total, "oracle": want.total})
-        lit = solve_general(tree, demand, D, mode="literal")
+        lit = solve_general(Instance(tree, demand), D, mode="literal")
         if lit.total != lit.evaluated or lit.total != want.total:
             literal_bad.append(_serialize(tree, demand, D)
                                | {"dp": lit.total, "theta_cost": lit.evaluated,
@@ -148,7 +148,7 @@ def test_criterion_3_specialization_agreement():
                     value, th = solver(seg, tree, demand, mode)
                     split_total += value
                     theta.update(th)
-                full = solve_general(tree, demand, D, mode=mode)
+                full = solve_general(Instance(tree, demand), D, mode=mode)
                 assert split_total == full.total
                 if mode == "exact":
                     # argmins may differ; both must price identically
@@ -167,12 +167,12 @@ def test_criterion_4_extended_solver():
         tree, demand = _random_instance(rng, max_nodes=14, max_terminals=6,
                                         max_views=7)
         D = rng.choice([2, 2, 3, 3, 4])
-        ext = solve_extended(tree, demand, D, mode="exact")
-        base = solve_general(tree, demand, D, mode="exact")
+        ext = solve_extended(Instance(tree, demand), D, mode="exact")
+        base = solve_general(Instance(tree, demand), D, mode="exact")
         assert ext.total <= base.total
         relax_checked += 1
         try:
-            want = brute_force_emmds(tree, demand, D)
+            want = brute_force_emmds(Instance(tree, demand), D)
         except OracleGuardError:
             continue
         if ext.total != want.total:
@@ -192,9 +192,10 @@ def test_criterion_5_heuristic_sandwich():
     for _ in range(500):
         tree, demand = _random_instance(rng, max_nodes=30, max_terminals=10)
         D = rng.choice([2, 3, 4, 5])
-        res = h_solve(tree, demand, D)  # re-checks every round internally
-        lo = brute_force_mmds(tree, demand, D).total
-        hi = omds(tree, demand).total
+        # re-checks every round internally
+        res = h_solve(Instance(tree, demand), D)
+        lo = brute_force_mmds(Instance(tree, demand), D).total
+        hi = omds(Instance(tree, demand)).total
         assert lo <= res.total <= hi
         assert all(b < a for a, b in zip(res.round_costs, res.round_costs[1:]))
         assert res.round_costs[0] == hi and res.round_costs[-1] == res.total
@@ -288,7 +289,7 @@ def test_criterion_8_runtime_envelope(kdl_graph):
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            solve_general(tree, demand, d, mode="exact")
+            solve_general(Instance(tree, demand), d, mode="exact")
             best = min(best, time.perf_counter() - t0)
         runtimes.append(best)
     xs = [math.log(d ** d) for d in ds]

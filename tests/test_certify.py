@@ -11,7 +11,7 @@ from mmds.cost import SolverError, evaluate_cost
 from mmds.instances import demo_instance
 
 D = 4
-SEARCH = {"mmdea": (mmdea, "solve_segment"),
+SEARCH = {"mmdea": (mmdea, "solved_segment"),
           "emmdea": (emmdea, "_solve_segment")}
 
 
@@ -66,7 +66,7 @@ def test_a_closed_form_undercharge_is_refused(monkeypatch, solver, mode):
 def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
     """h_solve checks its start and every round against the sample's
     masks, so only the certificate, which re-costs the joined selection
-    through `evaluate_cost`, can see a segment value that is one too high.
+    through `cost_of_parts`, can see a segment value that is one too high.
     Make the greedy report its cost plus one."""
     real = hmmdea._improve
 
@@ -81,13 +81,13 @@ def test_a_heuristic_value_off_the_recost_is_refused(monkeypatch):
 
 
 def test_an_invalid_selection_is_refused(monkeypatch):
-    real = mmdea.solve_segment
+    real = mmdea.solved_segment
 
     def search(*args):
         value, theta, table = real(*args)
         del theta[max(theta)]
         return value, theta, table
-    monkeypatch.setattr(mmdea, "solve_segment", search)
+    monkeypatch.setattr(mmdea, "solved_segment", search)
     tree, demand = demo_instance()
     with pytest.raises(SolverError, match="^mmdea selection is invalid: "
                                           "desired view 8 has no selection"):

@@ -35,13 +35,9 @@ def demo_files(tmp_path):
 
 def break_mmdea(monkeypatch, exc):
     """Make the mmdea solver raise `exc` whenever the CLI runs it."""
-    real = cli.run_solver
-
-    def run_solver(name, *args):
-        if name == "mmdea":
-            raise exc
-        return real(name, *args)
-    monkeypatch.setattr(cli, "run_solver", run_solver)
+    def solve(*args):
+        raise exc
+    monkeypatch.setitem(cli.SOLVERS, "mmdea", solve)
 
 
 @pytest.fixture
@@ -438,8 +434,8 @@ class TestSampleDraw:
         monkeypatch.setattr(cli, "build_spt", build_spt)
         # the solver row is skipped: it hands back what the solvers get
         monkeypatch.setattr(cli, "_solver_row",
-                            lambda base, solver, tree, demand, D, phi:
-                            (base["sample_seed"], demand))
+                            lambda base, solver, inst, D, phi:
+                            (base["sample_seed"], inst.demand))
         graph = parse_topology(KDL_PATH)
         candidates = cli._client_candidates(graph)
         for clients in (1, 400, 753):
@@ -474,7 +470,7 @@ class TestSampleDraw:
             "numpy's Generator.integers stream changed"
         # and they are the draws `mmds run` makes
         monkeypatch.setattr(cli, "_solver_row",
-                            lambda base, solver, tree, demand, D, phi: demand)
+                            lambda base, solver, inst, D, phi: inst.demand)
         graph = parse_topology(KDL_PATH)
         candidates = cli._client_candidates(graph)
         cfg = ScenarioConfig(topology=KDL_PATH, views=12, d=5, clients=400,

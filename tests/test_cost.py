@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from mmds import (INFEASIBLE, DemandMap, ShortestPathTree, build_spt,
+from mmds import (INFEASIBLE, DemandMap, Instance, ShortestPathTree, build_spt,
                   edge_view_loads, evaluate_cost, identity_selection,
                   parse_topology, sample_demand, solve_general,
                   validate_selection, view_trees)
@@ -209,7 +209,7 @@ class TestViewMasks:
         masks = view_masks(tree, demand)
         assert [masks[v].bit_count() for v in (1, 2, 3)] == [n, n // 2, n // 4]
         # view 1 already covers view 2's client; view 3 stretches to it
-        assert solve_general(tree, demand, 2).total == n + n // 2
+        assert solve_general(Instance(tree, demand), 2).total == n + n // 2
 
 
 def reference_paths(tree):
@@ -242,7 +242,8 @@ class TestPathMasksAgainstReference:
             trees[v] = trees.get(v, frozenset()) | paths[t]
         assert view_trees(tree, demand) == trees
 
-        full = [identity_selection(demand), solve_general(tree, demand, D).theta]
+        full = [identity_selection(demand),
+                solve_general(Instance(tree, demand), D).theta]
         half = {v: full[1][v] for v in demand.desired_views[::2]}
         for theta in (*full, half):
             loads = {}
@@ -274,11 +275,14 @@ class TestPathMasksAgainstReference:
 class TestOneCostLayer:
     """Every solver shares one cost layer: `solve_by_segment`, its
     certificate and the closed-form price live in `cost`, and a sample's
-    solvers and functionals share one read-only build of the view masks."""
+    solvers share one read-only build of the view masks, its instance's."""
 
     # beyond the cost layer, emmdea takes mmdea's per-segment optimum as
     # the upper bound of its sweep, and nothing else
-    ALSO = {"emmdea": {("mmdea", "solve_segment")}}
+    ALSO = {"emmdea": {("mmdea", "solved_segment")}}
+    # emmdea reads its tree and demand through the instance, so it needs
+    # nothing from graphs
+    LAYER = {"emmdea": {"cost"}}
 
     @pytest.mark.parametrize("module", ["emmdea", "hmmdea", "oracle"])
     def test_solvers_import_only_the_cost_layer_and_graphs(self, module):
@@ -290,7 +294,7 @@ class TestOneCostLayer:
                 for alias in node.names}
         assert also == self.ALSO.get(module, set())
         assert {node.module for node in imports} - {m for m, _ in also} \
-            == {"cost", "graphs"}
+            == self.LAYER.get(module, {"cost", "graphs"})
 
     def test_phi_counts_the_arcs_each_source_misses(self, rng):
         def arcs(mask):
@@ -335,15 +339,19 @@ class TestOneCostLayer:
             masks[2] = 0
         assert masks[2].bit_count() == len(view_trees(tree, demand)[2]) == 7
 
-    def test_another_tree_or_demand_gets_a_fresh_build(self):
+    def test_each_instance_builds_its_own_masks_and_tables(self):
         tree, demand = demo_instance()
-        other_tree, other_demand = demo_instance()
-        masks = view_masks(tree, demand)
-        assert view_masks(tree, demand) is masks
-        for pair in ((other_tree, demand), (tree, other_demand)):
-            fresh = view_masks(*pair)
-            assert fresh is not masks and fresh == masks
-        assert view_masks(tree, demand) is not masks  # only the latest is kept
+        first, second = Instance(tree, demand), Instance(tree, demand)
+        assert first.masks == second.masks == view_masks(tree, demand)
+        assert first.masks is not second.masks
+        a = solve_general(first, 4)
+        assert len(first.solved) == len(a.per_segment) and not second.solved
+        b = solve_general(second, 4)
+        assert (b.total, b.theta, b.stats) == (a.total, a.theta, a.stats)
+        assert second.solved.keys() == first.solved.keys()
+        assert all(second.solved[key] is not first.solved[key]
+                   for key in first.solved)
+        assert not Instance(tree, demand).solved
 
     @pytest.mark.parametrize("mode", ["exact", "literal", "per_view"])
     def test_closed_form_prices_call_phi(self, monkeypatch, mode):
@@ -351,7 +359,7 @@ class TestOneCostLayer:
         monkeypatch.setattr(mmdea, "phi",
                             lambda *args: calls.append(1) or cost.phi(*args))
         tree, demand = demo_instance()
-        solve_general(tree, demand, 4, mode)
+        solve_general(Instance(tree, demand), 4, mode)
         assert bool(calls) == (mode != "exact")
 
     def test_hmmdea_gain_calls_phi(self, monkeypatch):
@@ -359,5 +367,6 @@ class TestOneCostLayer:
         monkeypatch.setattr(hmmdea, "phi",
                             lambda *args: calls.append(1) or cost.phi(*args))
         tree, demand = demo_instance()
-        assert hmmdea.h_solve(tree, demand, 4).round_costs == [45, 41, 38]
+        assert hmmdea.h_solve(Instance(tree, demand), 4).round_costs == \
+            [45, 41, 38]
         assert calls

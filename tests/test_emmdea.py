@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mmds import (DemandMap, ShortestPathTree, StateSpaceError,
+from mmds import (DemandMap, Instance, ShortestPathTree, StateSpaceError,
                   brute_force_emmds, parse_topology, segment_views,
                   solve_extended, solve_general, transmitted_views,
                   validate_selection)
@@ -36,16 +36,16 @@ def crossing_pays_instance():
 class TestSolveExtended:
     def test_demo_instance_gains_nothing(self):
         tree, demand = demo_instance()
-        res = solve_extended(tree, demand, 4)
+        res = solve_extended(Instance(tree, demand), 4)
         assert res.total == 32
-        assert brute_force_emmds(tree, demand, 4).total == 32
+        assert brute_force_emmds(Instance(tree, demand), 4).total == 32
 
     def test_crossing_strictly_helps_here(self):
         tree, demand = crossing_pays_instance()
-        mm = solve_general(tree, demand, 3)
-        ext = solve_extended(tree, demand, 3)
+        mm = solve_general(Instance(tree, demand), 3)
+        ext = solve_extended(Instance(tree, demand), 3)
         assert ext.total < mm.total
-        assert ext.total == brute_force_emmds(tree, demand, 3).total
+        assert ext.total == brute_force_emmds(Instance(tree, demand), 3).total
         # the winning selection really does cross a transmitted view
         l, r = ext.theta[2]
         assert (l, r) == (1, 4) and ext.theta[3] == (3, 3)
@@ -60,16 +60,16 @@ class TestSolveExtended:
                    "b": "root", "b1": "b", "b2": "b"}
         tree = ShortestPathTree("root", parents, ["a1", "a2", "b1", "b2"])
         demand = DemandMap({"a1": 1, "a2": 3, "b1": 2, "b2": 4}, 4)
-        ext = solve_extended(tree, demand, 3)
-        assert ext.total <= solve_general(tree, demand, 3).total
-        assert ext.total == brute_force_emmds(tree, demand, 3).total
+        ext = solve_extended(Instance(tree, demand), 3)
+        assert ext.total <= solve_general(Instance(tree, demand), 3).total
+        assert ext.total == brute_force_emmds(Instance(tree, demand), 3).total
 
     def test_never_above_non_crossing(self, rng):
         for _ in range(80):
             tree, demand = random_tree_instance(rng, max_views=8)
             D = rng.choice([2, 3, 4])
-            assert solve_extended(tree, demand, D).total <= \
-                solve_general(tree, demand, D).total
+            assert solve_extended(Instance(tree, demand), D).total <= \
+                solve_general(Instance(tree, demand), D).total
 
     def test_matches_oracle_on_small_instances(self, rng):
         checked = 0
@@ -77,8 +77,8 @@ class TestSolveExtended:
             tree, demand = random_tree_instance(rng, max_nodes=12,
                                                 max_terminals=6, max_views=7)
             D = rng.choice([2, 3])
-            want = brute_force_emmds(tree, demand, D)
-            got = solve_extended(tree, demand, D)
+            want = brute_force_emmds(Instance(tree, demand), D)
+            got = solve_extended(Instance(tree, demand), D)
             assert got.total == want.total
             checked += 1
 
@@ -86,7 +86,7 @@ class TestSolveExtended:
         for _ in range(40):
             tree, demand = random_tree_instance(rng, max_views=8)
             D = rng.choice([2, 3, 4])
-            res = solve_extended(tree, demand, D)
+            res = solve_extended(Instance(tree, demand), D)
             assert validate_selection(res.theta, demand, D,
                                       crossing_allowed=True) == []
             assert res.evaluated == res.total
@@ -95,12 +95,12 @@ class TestSolveExtended:
         tree, demand = demo_instance()
         monkeypatch.setattr(emmdea, "STATE_CAP", 2)
         with pytest.raises(StateSpaceError, match="smaller D$"):
-            solve_extended(tree, demand, 4)
+            solve_extended(Instance(tree, demand), 4)
 
     def test_literal_mode_never_undercharges(self, rng):
         for _ in range(40):
             tree, demand = random_tree_instance(rng, max_views=7)
-            res = solve_extended(tree, demand, 3, mode="literal")
+            res = solve_extended(Instance(tree, demand), 3, mode="literal")
             assert res.total >= res.evaluated
 
     def test_summed_states_refuse_a_long_segment(self, monkeypatch):
@@ -113,20 +113,20 @@ class TestSolveExtended:
                                 range(1, K + 1))
         demand = DemandMap({v: v for v in range(1, K + 1)}, K)
         monkeypatch.setattr(emmdea, "STATE_CAP", 40)
-        assert solve_extended(tree, demand, 3, "literal").total == K
+        assert solve_extended(Instance(tree, demand), 3, "literal").total == K
         monkeypatch.setattr(emmdea, "STATE_CAP", 19)
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3, "literal")
+            solve_extended(Instance(tree, demand), 3, "literal")
         assert str(refused.value).startswith("19 states at column 13 "
                                              "(194 since column 1)")
         # exact mode prunes against mmdea's optimum (24): one state a
         # column is kept, 24 in all, so a cap of 2 (20 per segment) is
         # again refused by the summed budget alone
         monkeypatch.setattr(emmdea, "STATE_CAP", 3)
-        assert solve_extended(tree, demand, 3).total == K
+        assert solve_extended(Instance(tree, demand), 3).total == K
         monkeypatch.setattr(emmdea, "STATE_CAP", 2)
         with pytest.raises(StateSpaceError, match="smaller D") as refused:
-            solve_extended(tree, demand, 3)
+            solve_extended(Instance(tree, demand), 3)
         assert str(refused.value).startswith("1 states at column 21 "
                                              "(21 since column 1)")
 
@@ -136,14 +136,14 @@ class TestBranchAndBound:
     def test_only_exact_mode_prunes(self, rng, mode):
         for _ in range(40):
             tree, demand = random_tree_instance(rng, max_views=8)
-            stats = solve_extended(tree, demand, 3, mode).stats
+            stats = solve_extended(Instance(tree, demand), 3, mode).stats
             assert stats["pruned"] == stats["cut"] == 0
             assert stats["states"] >= stats["peak"] > 0
 
     def test_exact_mode_counts_its_work(self):
         tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024)
-        exact = solve_extended(tree, demand, 5).stats
-        literal = solve_extended(tree, demand, 5, "literal").stats
+        exact = solve_extended(Instance(tree, demand), 5).stats
+        literal = solve_extended(Instance(tree, demand), 5, "literal").stats
         assert exact["pruned"] > 0 and exact["cut"] > 0
         assert exact["states"] < literal["states"]
         # each entry a state reaches is priced once; pruning reaches fewer
@@ -153,8 +153,8 @@ class TestBranchAndBound:
         # view 5 is undesired inside segment 2..8: it is transmitted, for
         # free, as a possible left source, and never also skipped
         tree, demand = demo_instance()
-        exact = solve_extended(tree, demand, 4).stats
-        literal = solve_extended(tree, demand, 4, "literal").stats
+        exact = solve_extended(Instance(tree, demand), 4).stats
+        literal = solve_extended(Instance(tree, demand), 4, "literal").stats
         assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 28)
         # a folded window pushes only its retiring entry's child, so the
         # states and entries only its other children would reach go unkept
@@ -166,10 +166,10 @@ class TestBranchAndBound:
         # window; D=10**5 solves as D=8 does, with no D-sized work
         tree, demand = demo_instance()
         for mode in MODES:
-            want = solve_extended(tree, demand, 8, mode)
+            want = solve_extended(Instance(tree, demand), 8, mode)
             tracemalloc.start()
             try:
-                got = solve_extended(tree, demand, 10**5, mode)
+                got = solve_extended(Instance(tree, demand), 10**5, mode)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -182,7 +182,7 @@ class TestBranchAndBound:
         # keeps 34
         tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024,
                                         clients=753)
-        result = solve_extended(tree, demand, 6)
+        result = solve_extended(Instance(tree, demand), 6)
         assert result.total == 1920
         assert result.stats["states"] <= 40
 
@@ -208,12 +208,11 @@ class TestBranchAndBound:
 
 
 def run_instances(monkeypatch, views, d, clients, dist, samples, seed=2024):
-    """The (tree, demand) of each sample `mmds run` draws at `seed` on the
+    """The instance of each sample `mmds run` draws at `seed` on the
     bundled topology."""
     drawn = []
     monkeypatch.setattr(cli, "_solver_row",
-                        lambda base, solver, tree, demand, D, phi:
-                        drawn.append((tree, demand)))
+                        lambda base, solver, inst, D, phi: drawn.append(inst))
     graph = parse_topology(KDL_PATH)
     cfg = ScenarioConfig(topology=KDL_PATH, views=views, d=d, clients=clients,
                          dist=dist, solvers=("emmdea",), samples=samples,
@@ -240,9 +239,8 @@ KEPT = {
 def test_dominated_leads_fold_below_a_full_expansion(monkeypatch, shape):
     (views, d, clients, dist, samples), kept, twins_kept = KEPT[shape]
     states = peak = pruned = merged = dominated = 0
-    for tree, demand in run_instances(monkeypatch, views, d, clients, dist,
-                                      samples):
-        stats = solve_extended(tree, demand, d).stats
+    for inst in run_instances(monkeypatch, views, d, clients, dist, samples):
+        stats = solve_extended(inst, d).stats
         states += stats["states"]
         peak = max(peak, stats["peak"])
         pruned += stats["pruned"]
@@ -260,38 +258,42 @@ def test_a_sample_that_twin_folds_alone_refused_solves(monkeypatch):
     # K=20, D=7, 100 clients, sample 1 at seed 3: folding only twins kept
     # 226,939 states at column 11, past the cap of 200,000 a column, and
     # refused it; folding dominated leads too, no column keeps 102,000
-    tree, demand = run_instances(monkeypatch, 20, 7, 100, "uniform", 2,
-                                 seed=3)[1]
-    result = solve_extended(tree, demand, 7)
+    inst = run_instances(monkeypatch, 20, 7, 100, "uniform", 2, seed=3)[1]
+    result = solve_extended(inst, 7)
     assert result.total == result.evaluated == 918
-    assert result.total <= solve_general(tree, demand, 7).total
+    assert result.total <= solve_general(inst, 7).total
 
 
 def test_emmdea_bounds_with_the_samples_own_mmdea_tables(monkeypatch):
-    # mmdea keeps its results for the latest view-mask build, so emmdea run
-    # after it on one sample fills no table of its own; on a cold memo it
-    # fills them itself and still finds the same result
+    # an instance keeps mmdea's results, so emmdea run after mmdea on one
+    # instance fills no table of its own; a fresh instance of the same tree
+    # and demand fills its own and still finds the same result
     filled = []
     real = mmdea.CostTable
     monkeypatch.setattr(mmdea, "CostTable",
                         lambda *args: filled.append(args) or real(*args))
     dist = DemandDistribution("zipf", 24, exponent=1.0)
     tree, demand = bundled_instance(dist, 2024)
-    segments = len(solve_general(tree, demand, 4).per_segment)
-    assert len(filled) == segments
-    warm = solve_extended(tree, demand, 4)
-    assert len(filled) == segments
-    cold = solve_extended(*bundled_instance(dist, 2024), 4)
+    inst = Instance(tree, demand)
+    segments = len(solve_general(inst, 4).per_segment)
+    assert len(filled) == segments == len(inst.solved)
+    warm = solve_extended(inst, 4)
+    assert len(filled) == segments == len(inst.solved)
+    fresh = Instance(tree, demand)
+    cold = solve_extended(fresh, 4)
     assert len(filled) == 2 * segments
+    assert fresh.solved.keys() == inst.solved.keys()
     assert (cold.total, cold.theta, cold.per_segment, cold.stats) == \
         (warm.total, warm.theta, warm.per_segment, warm.stats)
     # a literal-mode table is no exact bound, nor is one for another D
-    tree, demand = bundled_instance(dist, 2024)
-    solve_general(tree, demand, 4, "literal")
-    solve_general(tree, demand, 3)
+    inst = Instance(tree, demand)
+    solve_general(inst, 4, "literal")
+    solve_general(inst, 3)
     filled.clear()
-    assert solve_extended(tree, demand, 4).total == warm.total
+    assert solve_extended(inst, 4).total == warm.total
     assert len(filled) == segments
+    assert {key[3:] for key in inst.solved} == \
+        {(4, "literal"), (3, "exact"), (4, "exact")}
 
 
 @given(small_instances())
@@ -299,7 +301,7 @@ def test_emmdea_bounds_with_the_samples_own_mmdea_tables(monkeypatch):
 def test_the_suffix_bound_never_exceeds_a_segment_optimum(inst):
     tree, demand, D = inst
     masks = view_masks(tree, demand)
-    for seg, value in solve_extended(tree, demand, D).per_segment:
+    for seg, value in solve_extended(Instance(tree, demand), D).per_segment:
         h, _ = _suffix_bounds(masks, seg.lo, seg.hi, D)
         assert h[seg.hi] == 0
         assert h[seg.lo - 1] <= value
@@ -410,7 +412,7 @@ MODES = ("exact", "literal", "per_view")
 
 class TestAgainstFrozensetReference:
     def assert_matches(self, tree, demand, D, mode):
-        got = solve_extended(tree, demand, D, mode=mode)
+        got = solve_extended(Instance(tree, demand), D, mode=mode)
         assert (got.total, list(got.theta.items()), got.per_segment) == \
             reference_extended(tree, demand, D, mode)
         return got
@@ -608,7 +610,8 @@ def test_reflecting_the_views_keeps_the_optimum(solve, inst):
     tree, demand, D = inst
     K = demand.universe_size
     mirrored = DemandMap({t: K + 1 - v for t, v in demand.demand.items()}, K)
-    assert solve(tree, mirrored, D).total == solve(tree, demand, D).total
+    assert solve(Instance(tree, mirrored), D).total == \
+        solve(Instance(tree, demand), D).total
 
 
 @SOLVERS
@@ -616,7 +619,8 @@ def test_reflecting_the_views_keeps_the_optimum(solve, inst):
 @settings(max_examples=25, deadline=None)
 def test_a_looser_quality_bound_never_costs_more(solve, inst):
     tree, demand, D = inst
-    assert solve(tree, demand, D + 1).total <= solve(tree, demand, D).total
+    assert solve(Instance(tree, demand), D + 1).total <= \
+        solve(Instance(tree, demand), D).total
 
 
 def with_client(tree, demand, node, view, parent=None):
@@ -644,7 +648,8 @@ def test_adding_a_client_never_lowers_the_optimum(solve, inst, data):
     else:
         bigger = with_client(tree, demand, max(nodes) + 1, view,
                              parent=data.draw(st.sampled_from(nodes)))
-    assert solve(*bigger, D).total >= solve(tree, demand, D).total
+    assert solve(Instance(*bigger), D).total >= \
+        solve(Instance(tree, demand), D).total
 
 
 @given(small_instances(), st.data())

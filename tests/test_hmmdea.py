@@ -1,9 +1,9 @@
 import random
 from importlib.resources import files
 
-from mmds import (DemandDistribution, DemandMap, ShortestPathTree,
+from mmds import (DemandDistribution, DemandMap, Instance, ShortestPathTree,
                   brute_force_mmds, build_spt, cost, edge_view_loads, h_solve,
-                  mmdea, omds, oracle, parse_topology, segment_views,
+                  omds, oracle, parse_topology, segment_views,
                   validate_selection, view_masks)
 from mmds.cost import cost_of_parts
 from mmds.instances import demo_instance
@@ -69,13 +69,13 @@ class TestHSolve:
     def test_uniform_demand_stays_direct(self):
         tree = ShortestPathTree(0, {1: 0, 2: 0, 3: 0}, [1, 2, 3])
         demand = DemandMap({1: 5, 2: 5, 3: 5}, 9)
-        res = h_solve(tree, demand, 3)
+        res = h_solve(Instance(tree, demand), 3)
         assert res.theta == {5: (5, 5)}
         assert res.round_costs == [3]
 
     def test_demo_lands_between_optimum_and_direct(self):
         tree, demand = demo_instance()
-        res = h_solve(tree, demand, 4)
+        res = h_solve(Instance(tree, demand), 4)
         assert 32 <= res.total <= 45
         # current behaviour, recorded: the greedy pass stops at 38
         assert res.total == 38
@@ -84,9 +84,9 @@ class TestHSolve:
         for _ in range(120):
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4, 5])
-            res = h_solve(tree, demand, D)
-            lo = brute_force_mmds(tree, demand, D).total
-            hi = omds(tree, demand).total
+            res = h_solve(Instance(tree, demand), D)
+            lo = brute_force_mmds(Instance(tree, demand), D).total
+            hi = omds(Instance(tree, demand)).total
             assert lo <= res.total <= hi
             assert all(b < a for a, b in
                        zip(res.round_costs, res.round_costs[1:]))
@@ -96,7 +96,7 @@ class TestHSolve:
         for _ in range(60):
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4])
-            res = h_solve(tree, demand, D)
+            res = h_solve(Instance(tree, demand), D)
             assert validate_selection(res.theta, demand, D) == []
 
     def test_demo_round_costs(self):
@@ -104,7 +104,7 @@ class TestHSolve:
         want = {2: [45, 41, 40], 3: [45, 41, 38], 4: [45, 41, 38],
                 5: [45, 41, 38]}
         for D, rounds in want.items():
-            assert h_solve(tree, demand, D).round_costs == rounds
+            assert h_solve(Instance(tree, demand), D).round_costs == rounds
 
     def test_arc_indicators_match_edge_loads(self, rng):
         # terminal 2 desires nothing, so arc (0, 2) carries no view
@@ -113,7 +113,7 @@ class TestHSolve:
         for _ in range(40):
             instances.append((*random_tree_instance(rng), rng.choice([2, 3, 4, 5])))
         for tree, demand, D in instances:
-            res = h_solve(tree, demand, D)
+            res = h_solve(Instance(tree, demand), D)
             want = {}
             for t, v in demand.demand.items():
                 for arc in tree.arcs_of(tree.path_mask[t]):
@@ -131,7 +131,7 @@ class TestAgainstOneGreedyOverAllSegments:
     def assert_matches_reference(tree, demand, D):
         total, theta, history, per_segment, views, moved = \
             reference_h_solve(tree, demand, D)
-        res = h_solve(tree, demand, D)
+        res = h_solve(Instance(tree, demand), D)
         assert res.total == total
         assert res.theta == theta
         assert res.round_costs == history
@@ -166,15 +166,14 @@ class TestAgainstOneGreedyOverAllSegments:
 
 
 def count_view_masks(monkeypatch):
-    """Count `view_masks` calls from the driver and the cost functionals."""
+    """Count `view_masks` calls from the instance and the cost functionals."""
     calls = []
     real = cost.view_masks
 
     def counted(tree, demand):
         calls.append(1)
         return real(tree, demand)
-    for module in (cost, mmdea):
-        monkeypatch.setattr(module, "view_masks", counted)
+    monkeypatch.setattr(cost, "view_masks", counted)
     return calls
 
 
@@ -191,7 +190,7 @@ class TestViewMasksPerSolve:
         for D in (2, 3, 4, 5):
             calls.clear()
             candidates.clear()
-            brute_force_mmds(tree, demand, D)
+            brute_force_mmds(Instance(tree, demand), D)
             seen.add((len(candidates), len(calls)))
         assert len({n for n, _ in seen}) > 1
         assert len({c for _, c in seen}) == 1
@@ -205,8 +204,9 @@ class TestViewMasksPerSolve:
                          DemandDistribution("uniform", 12)):
                 tree, demand = bundled_instance(dist, seed, clients=400)
                 calls.clear()
-                rounds = len(h_solve(tree, demand, 4).round_costs) - 1
+                rounds = len(h_solve(Instance(tree, demand),
+                                     4).round_costs) - 1
                 seen.add((rounds, len(calls)))
         assert max(r for r, _ in seen) > max(c for _, c in seen)
-        # the driver's masks and the certificate's evaluate_cost
-        assert {c for _, c in seen} == {2}
+        # the instance's masks, which the certificate reads too
+        assert {c for _, c in seen} == {1}

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from mmds import (INFEASIBLE, CostTable, DemandDistribution, DemandMap,
-                  ShortestPathTree, brute_force_mmds, evaluate_cost, h_solve,
-                  identity_selection, omds, segment_views, solve_d2, solve_d3,
-                  solve_general, solve_segment, two_view_fraction,
+                  Instance, ShortestPathTree, brute_force_mmds, evaluate_cost,
+                  h_solve, identity_selection, omds, segment_views, solve_d2,
+                  solve_d3, solve_general, solve_segment, two_view_fraction,
                   validate_selection)
 from mmds import mmdea
 from mmds.cost import PHI_MODES, phi, view_masks
@@ -40,7 +40,7 @@ def chain_with_leaf_terminals(depth, views):
 class TestDemoGolden:
     def test_optimal_cost_and_selection(self):
         tree, demand = demo_instance()
-        res = solve_general(tree, demand, 4)
+        res = solve_general(Instance(tree, demand), 4)
         assert res.total == 32
         assert res.transmitted == (2, 4, 8)
         assert res.theta == THETA_STAR
@@ -57,7 +57,7 @@ class TestDemoGolden:
         # the closed-form expansion cost charges the anchor's tree twice
         # here; the assembled selection still evaluates below the DP value
         tree, demand = demo_instance()
-        res = solve_general(tree, demand, 4, mode="literal")
+        res = solve_general(Instance(tree, demand), 4, mode="literal")
         assert res.total == 34
         assert res.evaluated == 32
 
@@ -71,7 +71,7 @@ class TestSolveD2:
         assert cost == 8
         assert theta == {1: (1, 1), 2: (1, 3), 3: (3, 3)}
         # brute force over transmitted subsets agrees
-        assert brute_force_mmds(tree, demand, 2).total == 8
+        assert brute_force_mmds(Instance(tree, demand), 2).total == 8
 
     def test_single_view_costs_its_depth(self):
         tree = ShortestPathTree(0, {1: 0, 2: 1, 3: 2}, [3])
@@ -91,7 +91,7 @@ class TestSolveD2:
         for _ in range(150):
             tree, demand = random_tree_instance(rng)
             for mode in ("exact", "literal"):
-                full = solve_general(tree, demand, 2, mode=mode)
+                full = solve_general(Instance(tree, demand), 2, mode=mode)
                 split = sum(solve_d2(seg, tree, demand, mode)[0]
                             for seg in segment_views(demand, 2))
                 assert split == full.total
@@ -102,7 +102,7 @@ class TestSolveD3:
         for _ in range(150):
             tree, demand = random_tree_instance(rng)
             for mode in ("exact", "literal"):
-                full = solve_general(tree, demand, 3, mode=mode)
+                full = solve_general(Instance(tree, demand), 3, mode=mode)
                 split = sum(solve_d3(seg, tree, demand, mode)[0]
                             for seg in segment_views(demand, 3))
                 assert split == full.total
@@ -120,7 +120,7 @@ class TestSolveD3:
             tree, demand = chain_with_leaf_terminals(prefix, [1, 2, 3, 4])
             seg = segment_views(demand, 3)[0]
             cost, theta = solve_d3(seg, tree, demand)
-            assert cost == brute_force_mmds(tree, demand, 3).total
+            assert cost == brute_force_mmds(Instance(tree, demand), 3).total
             if prefix >= 2:  # sharing pays: only the boundaries travel
                 assert {v for p in theta.values() for v in p} == {1, 4}
 
@@ -129,28 +129,29 @@ class TestSolveGeneral:
     def test_single_terminal(self):
         tree = ShortestPathTree(0, {1: 0, 2: 1}, [2])
         demand = DemandMap({2: 7}, 9)
-        res = solve_general(tree, demand, 4)
+        res = solve_general(Instance(tree, demand), 4)
         assert res.total == 2
         assert res.theta == {7: (7, 7)}
 
     def test_monotone_in_quality_constraint(self, rng):
         for _ in range(40):
             tree, demand = random_tree_instance(rng)
-            costs = [solve_general(tree, demand, D).total for D in (2, 3, 4, 5)]
+            costs = [solve_general(Instance(tree, demand), D).total
+                     for D in (2, 3, 4, 5)]
             assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_never_worse_than_direct_delivery(self, rng):
         for _ in range(60):
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4, 5])
-            assert solve_general(tree, demand, D).total <= \
-                omds(tree, demand).total
+            assert solve_general(Instance(tree, demand), D).total <= \
+                omds(Instance(tree, demand)).total
 
     def test_segment_additivity(self, rng):
         for _ in range(40):
             tree, demand = random_tree_instance(rng, max_views=14)
             D = rng.choice([2, 3])
-            res = solve_general(tree, demand, D)
+            res = solve_general(Instance(tree, demand), D)
             assert res.total == sum(c for _, c in res.per_segment)
             for seg, _ in res.per_segment:
                 for v in seg.members:
@@ -166,7 +167,7 @@ class TestSolveGeneral:
         for _ in range(60):
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4, 5])
-            res = solve_general(tree, demand, D, mode="exact")
+            res = solve_general(Instance(tree, demand), D, mode="exact")
             assert validate_selection(res.theta, demand, D) == []
             assert evaluate_cost(tree, demand, res.theta) == res.total
 
@@ -175,35 +176,35 @@ class TestSolveGeneral:
             tree, demand = random_tree_instance(rng)
             D = rng.choice([2, 3, 4, 5])
             for mode in ("literal", "per_view"):
-                res = solve_general(tree, demand, D, mode=mode)
+                res = solve_general(Instance(tree, demand), D, mode=mode)
                 assert res.total >= res.evaluated
 
     def test_deterministic(self, rng):
         tree, demand = random_tree_instance(rng)
-        a = solve_general(tree, demand, 3)
-        b = solve_general(tree, demand, 3)
+        a = solve_general(Instance(tree, demand), 3)
+        b = solve_general(Instance(tree, demand), 3)
         assert a.theta == b.theta and a.total == b.total
 
     def test_mode_validation(self):
         tree, demand = demo_instance()
         with pytest.raises(ValueError, match="phi mode"):
-            solve_general(tree, demand, 4, mode="bogus")
+            solve_general(Instance(tree, demand), 4, mode="bogus")
         with pytest.raises(ValueError, match="quality"):
-            solve_general(tree, demand, 1)
+            solve_general(Instance(tree, demand), 1)
 
 
 @given(small_instances())
 @settings(max_examples=60, deadline=None)
 def test_exact_mode_matches_oracle_property(inst):
     tree, demand, D = inst
-    assert solve_general(tree, demand, D, mode="exact").total == \
-        brute_force_mmds(tree, demand, D).total
+    assert solve_general(Instance(tree, demand), D, mode="exact").total == \
+        brute_force_mmds(Instance(tree, demand), D).total
 
 
 def test_terminal_at_the_server_consumes_nothing():
     tree = ShortestPathTree(0, {1: 0}, [0, 1])
     demand = DemandMap({0: 3, 1: 5}, 5)
-    res = solve_general(tree, demand, 2)
+    res = solve_general(Instance(tree, demand), 2)
     assert res.total == 1  # only the arc to the remote client carries a view
     assert res.theta == {3: (3, 3), 5: (5, 5)}
 
@@ -221,8 +222,9 @@ class TestTwoViewFraction:
     def test_random_trees(self, rng):
         for _ in range(100):
             tree, demand = random_tree_instance(rng, max_views=14)
-            for result in (solve_general(tree, demand, rng.choice([2, 3, 4])),
-                           h_solve(tree, demand, 3)):
+            for result in (solve_general(Instance(tree, demand),
+                                         rng.choice([2, 3, 4])),
+                           h_solve(Instance(tree, demand), 3)):
                 assert two_view_fraction(result, demand) == \
                     per_terminal_two_view_fraction(result, demand)
 
@@ -232,7 +234,7 @@ class TestTwoViewFraction:
             for dist in (DemandDistribution("uniform", 12),
                          DemandDistribution("zipf", 24, exponent=1)):
                 tree, demand = bundled_instance(dist, seed, clients=400)
-                result = solve_general(tree, demand, 5)
+                result = solve_general(Instance(tree, demand), 5)
                 got = two_view_fraction(result, demand)
                 assert got == per_terminal_two_view_fraction(result, demand)
                 fractions.add(got)
@@ -248,7 +250,7 @@ class TestBacktrack:
     def test_all_direct_optimum_is_identity(self):
         tree = ShortestPathTree(0, {1: 0, 2: 0}, [1, 2])
         demand = DemandMap({1: 1, 2: 2}, 2)
-        res = solve_general(tree, demand, 2)
+        res = solve_general(Instance(tree, demand), 2)
         assert res.theta == identity_selection(demand)
 
 
@@ -380,7 +382,7 @@ class TestAgainstFullScanReference:
                     == [trees[k][d] for d in on]
             total += ref.minimum(seg.hi)
             theta.update(reference_theta(ref))
-        res = solve_general(tree, demand, D, mode)
+        res = solve_general(Instance(tree, demand), D, mode)
         assert res.total == total
         assert list(res.theta.items()) == list(theta.items())
 
@@ -529,10 +531,10 @@ class TestNoSynthesisNoVariant:
 class TestSolveStats:
     def test_cells_match_the_benchmark_formula(self, dp_cells):
         tree, demand = demo_instance()
-        res = solve_general(tree, demand, 4)
+        res = solve_general(Instance(tree, demand), 4)
         assert res.stats["cells"] == dp_cells(segment_views(demand, 4), 4) == 19
         tree, demand = bundled_instance(DemandDistribution("uniform", 12), 2024)
-        res = solve_general(tree, demand, 5)
+        res = solve_general(Instance(tree, demand), 5)
         assert res.stats["cells"] == dp_cells(segment_views(demand, 5), 5)
 
     @pytest.mark.parametrize("mode", PHI_MODES)
@@ -546,7 +548,8 @@ class TestSolveStats:
             scanned += scanned_candidates(
                 reference_table(masks, seg, 16, mode)[0], mode)
             prices += table.prices
-        assert solve_general(tree, demand, 16, mode).stats["prices"] == prices
+        assert solve_general(Instance(tree, demand), 16,
+                             mode).stats["prices"] == prices
         if mode == "exact":
             assert 0 < prices < scanned
         else:  # the whole price is the same for every predecessor variant
@@ -582,4 +585,5 @@ class TestSolveStats:
         assert 0 < cut == bounded
         if mode == "literal":
             assert cut + len(calls) == between
-        assert solve_general(tree, demand, 16, mode).stats["cut"] == cut
+        assert solve_general(Instance(tree, demand), 16,
+                             mode).stats["cut"] == cut
