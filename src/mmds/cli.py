@@ -201,6 +201,11 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
     """Run all samples of a scenario; one row per (sample, solver) plus a
     mean row per solver, in sample order.  Every check but the client count
     against the topology's nodes raises before anything is parsed or run."""
+    sources = [f"--{name}" for name in ("topology", "gen", "preset")
+               if getattr(config, name)]
+    if len(sources) != 1:
+        raise ValueError("scenario needs --topology, --gen or --preset"
+                         + (f", not {' and '.join(sources)}" if sources else ""))
     check_quality(config.d)
     if config.samples < 0:
         raise ValueError(f"sample count must be >= 0, got {config.samples}")
@@ -227,11 +232,9 @@ def run_scenario(config: ScenarioConfig) -> list[dict]:
         return rows + _mean_rows(rows, _echo(config))
     if config.gen:
         graph = generate_topology(config.gen[0], config.gen[1], seed=config.seed)
-    elif config.topology:
+    else:
         graph = parse_topology(config.topology, config.fmt,
                                largest_component=config.largest_component)
-    else:
-        raise ValueError("scenario needs --topology, --gen or --preset")
     candidates = _client_candidates(graph)
     if config.clients > len(candidates):
         raise ValueError(f"cannot place {config.clients} clients on "
@@ -306,10 +309,10 @@ def _mean_rows(rows, base) -> list[dict]:
 
 
 def write_csv(rows, stream):
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS, restval="",
+                            extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row.get(c, "") for c in CSV_COLUMNS})
+    writer.writerows(rows)
 
 
 def _cmd_solve(args) -> int:
@@ -372,20 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_solve)
 
     pr = sub.add_parser("run", help="run a simulation scenario, emit CSV")
+    given = ScenarioConfig()  # each default is written there once
     pr.add_argument("--preset", choices=("demo",))
     pr.add_argument("--topology")
-    pr.add_argument("--format", choices=("gml", "edges"), default="gml")
+    pr.add_argument("--format", choices=("gml", "edges"), default=given.fmt)
     pr.add_argument("--gen", metavar="N,E", help="generate a random topology")
-    pr.add_argument("--views", type=_integer, default=12)
-    pr.add_argument("--clients", type=_integer, default=100)
-    pr.add_argument("--dist", default="uniform",
+    pr.add_argument("--views", type=_integer, default=given.views)
+    pr.add_argument("--clients", type=_integer, default=given.clients)
+    pr.add_argument("--dist", default=given.dist,
                     help="uniform | gaussian:VAR | zipf:S")
-    pr.add_argument("--d", type=_integer, default=5)
-    pr.add_argument("--solver", default="omds,mmdea",
+    pr.add_argument("--d", type=_integer, default=given.d)
+    pr.add_argument("--solver", default=",".join(given.solvers),
                     help="comma-separated list of solvers")
-    pr.add_argument("--phi", choices=PHI_CHOICES, default="exact")
-    pr.add_argument("--samples", type=_integer, default=100)
-    pr.add_argument("--seed", type=_integer, default=0)
+    pr.add_argument("--phi", choices=PHI_CHOICES, default=given.phi)
+    pr.add_argument("--samples", type=_integer, default=given.samples)
+    pr.add_argument("--seed", type=_integer, default=given.seed)
     pr.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     pr.add_argument("--largest-component", action="store_true")
     pr.set_defaults(func=_cmd_run)

@@ -21,7 +21,9 @@ tree and price, and is the sweep's only pricing path: ``(view, 0)`` is
 the view's own tree, and any other entry the entry without its newest
 user k (the one it grew from, as users join in column order) grown in
 O(1): the tree gains k's, and the literal / per_view price k's marginal
-against the view's own tree.  A state's value is the retire prices of
+against the view's own tree.  An entry grows only where its state has a
+right source for user k: k is desired, not promised, and below the
+segment's last view.  A state's value is the retire prices of
 every view transmitted so far, window entries included at their current
 users, so a view leaving the window (no later view can select it) changes
 no value and final values are the true per-arc cost of the assembled
@@ -195,13 +197,13 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
             # directly (an undesired view's is free and covers skipping it)
             sent = promises[0] if due else fresh
             price = trees[sent][1]
-            items = windows.items()
+            items, rights = windows.items(), []
             if wanted and not due:
                 # by right source r = k+1..: the windows of the promise set
                 # that adds user k to r, where children synthesized from r go,
                 # each set built in one walk over the sorted promises
                 # (every promise is above k, so promises[i] is never below r)
-                rights, i, n = [], 0, len(promises)
+                i, n = 0, len(promises)
                 for r in range(k + 1, min(M, k + D - 1) + 1):
                     if i < n and promises[i][0] == r:
                         key = (promises[:i] + ((r, promises[i][1] | bit),)
@@ -273,7 +275,7 @@ def _solve_segment(masks, desired, m, M, D, mode, ub, stats):
                     child = (value + price, (back, direct) if wanted else back)
                     if put(key, child) > child:
                         into[key] = child
-                if due or not wanted:
+                if not rights:
                     continue
                 # synthesis from a transmitted left and a promised right
                 for i, entry in enumerate(window):

@@ -34,15 +34,14 @@ def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
     move to `moves` as (-gain, view, width) and returns (cost, theta)."""
     theta = {v: (v, v) for v in seg.members}
     delivery = {v: masks[v] for v in seg.members}  # view -> its arcs
-    active = list(seg.members)   # transmitted views, ascending
     sources = set()
     cost = sum(arcs.bit_count() for arcs in delivery.values())
     while True:
         if cost != cost_of_parts(masks, theta):
             raise SolverError("delivery trees disagree with the cost functional")
-        best = None
+        best, views = None, list(delivery)  # transmitted views, ascending
         # the segment's two ends are never replaced
-        for left, w, right in zip(active, active[1:], active[2:]):
+        for left, w, right in zip(views, views[1:], views[2:]):
             if w in sources or right - left > D:
                 continue
             # w is no source, so only its own subscribers receive it and
@@ -60,7 +59,6 @@ def _improve(seg: Segment, masks: dict, D: int, moves: list) -> tuple:
         tw = delivery.pop(w)
         delivery[left] |= tw
         delivery[right] |= tw
-        active.remove(w)
         sources.update(pair)
         cost += change
 

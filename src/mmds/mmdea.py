@@ -35,9 +35,9 @@ exact mode |joint - m_k|; all of it in the other modes) is worked out once
 per variant.  Only a column's staircase is read later: its feasible
 variants in (value, d) order, each with a larger d than every one before
 it.  A column is filled from its deepest d down to 2, then d = 0; a
-variant joins the staircase, and gets its anchor tree mask(k) | joint,
-when its price is at most `low`, the smallest price of a deeper variant.
-Every other cell is DROPPED.  The anchor trees nest as d grows, so a
+variant joins the staircase, its cell shared with the column, when its
+price is at most `low`, the smallest price of a deeper variant.  Every
+other cell is DROPPED.  The anchor trees nest as d grows, so a
 variant off the staircase can never win or tie.  No price falls below
 head + |m_k| + |joint - m_k| (head: the staircase's smallest value), so a
 variant whose bound exceeds `low` is cut unpriced, in every mode.  Exact
@@ -61,17 +61,16 @@ DROPPED = (INFEASIBLE, None, 0)
 @dataclass
 class CostTable:
     """DP lattice of one segment: columns[k][d] is cell (value, link,
-    joint) of variant d at column k.  link is the cell's selection as a
+    tree) of variant d at column k.  link is the cell's selection as a
     back chain (prev, k, a): a is the anchor column k - d, None for d = 0;
     prev is the link of the cell it was priced from, a variant of column a
-    or, for d = 0, the cheapest cell of the column jumped from.  link is
-    None at the first column and in a DROPPED cell, so every chain ends at
-    the first column.  joint is the union of the view trees strictly
-    between the anchors (0 for d = 0), so the cell's anchor tree is
-    mask(k) | joint.  A cell off its column's staircase is
-    DROPPED, so every variant keeps one cell.  `cells` counts those cells,
-    DROPPED ones included, `prices` the exact-mode popcounts against a
-    staircase entry's tree and `cut` the variants the lower bound left
+    or, for d = 0, the cheapest cell of the column jumped from; the first
+    column's cell extends the empty prefix, so every chain ends at its link
+    (None, m, None).  tree is the anchor tree: mask(k) united with the view
+    trees strictly between the anchors.  A cell off its column's staircase
+    is DROPPED, so every variant keeps one cell.  `cells` counts those
+    cells, DROPPED ones included, `prices` the exact-mode popcounts against
+    a staircase entry's tree and `cut` the variants the lower bound left
     unpriced."""
     segment: Segment
     desired: frozenset
@@ -103,16 +102,15 @@ def solved_segment(inst: Instance, seg: Segment, D: int,
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     table = CostTable(seg, desired)
-    # ranked[k]: column k's staircase of (value, link, anchor tree), ascending
-    # in value and d: filled from the deepest d down, a cell joins when no
-    # deeper one is cheaper; d is unique per column, so ties go to the smaller d
-    t = masks.get(m, 0)
-    table.columns[m] = {0: (t.bit_count(), None, 0)}
-    ranked = {m: [(t.bit_count(), None, t)]}
-    cells, prices, cut = 1, 0, 0
-    last = m  # nearest desired view below k
+    # ranked[k]: column k's staircase cells, ascending in value and d: filled
+    # from the deepest d down, a cell joins when no deeper one is cheaper; d
+    # is unique per column, so ties go to the smaller d
+    # column m - 1 is the empty prefix that the first column extends
+    ranked = {m - 1: [(0, None, 0)]}
+    cells, prices, cut = 0, 0, 0
+    last = m - 1  # nearest desired view below k
 
-    for k in range(m + 1, M + 1):
+    for k in range(m, M + 1):
         mk = masks.get(k, 0)
         ck = mk.bit_count()
         # joints[d - 2]: union of the desired views' trees strictly between
@@ -160,9 +158,8 @@ def solved_segment(inst: Instance, seg: Segment, D: int,
                                         for v in range(a + 1, last + 1)
                                         if v in desired)
             if price <= low:  # only a staircase cell is ever read
-                link = (link, k, a)
-                col[d] = (price, link, joint)
-                stair.append((price, link, mk | joint))
+                col[d] = cell = (price, (link, k, a), mk | joint)
+                stair.append(cell)
                 low = price
         # variant 0: v_k extends a shorter prefix without synthesizing
         best_val, link = INFEASIBLE, None
@@ -173,9 +170,8 @@ def solved_segment(inst: Instance, seg: Segment, D: int,
                     best_val, link, _ = r[0]
         price, col[0] = best_val + ck, DROPPED
         if price <= low and price != INFEASIBLE:
-            link = (link, k, None)
-            col[0] = (price, link, 0)
-            stair.append((price, link, mk))
+            col[0] = cell = (price, (link, k, None), mk)
+            stair.append(cell)
         cells += len(col)
         table.columns[k] = col
         ranked[k] = stair[::-1]
@@ -196,7 +192,6 @@ def solved_segment(inst: Instance, seg: Segment, D: int,
             for v in range(a + 1, k):
                 if v in desired:
                     theta[v] = (a, k)
-    theta[m] = (m, m)
     solved = inst.solved[key] = value, theta, table
     return solved
 

@@ -803,6 +803,17 @@ OUTCOME_CASES = {
     "run-negative-samples": ("run --topology {tmp}/truncated.gml --samples -1",
                              1, "error: sample count must be >= 0, got -1",
                              False),
+    # the demo would run, and the generated graph solve, were one of two
+    # graph sources taken over the other
+    "run-preset-and-topology": (
+        "run --preset demo --topology {tmp}/nope.gml --d 3", 1,
+        "error: scenario needs --topology, --gen or --preset, "
+        "not --topology and --preset\n", False),
+    "run-gen-and-topology": (
+        "run --gen 10,12 --topology {tmp}/nope.gml --clients 2 --samples 1 "
+        "--views 3 --d 2", 1,
+        "error: scenario needs --topology, --gen or --preset, "
+        "not --topology and --gen\n", False),
     "run-preset-negative-samples": ("run --preset demo --d 4 --samples -3",
                                     1, "error: sample count must be >= 0, "
                                     "got -3", False),

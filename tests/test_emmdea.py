@@ -158,8 +158,9 @@ class TestBranchAndBound:
         assert (exact["states"], exact["peak"], exact["trees"]) == (17, 5, 28)
         # a folded window pushes only its retiring entry's child, so the
         # states and entries only its other children would reach go unkept
-        # and unpriced
-        assert (literal["states"], literal["trees"]) == (119, 55)
+        # and unpriced; at the last column no right source is left, so no
+        # entry grows there
+        assert (literal["states"], literal["trees"]) == (119, 48)
 
     def test_a_d_wider_than_the_segment_costs_what_the_segment_does(self):
         # the demo's one segment spans views 2..8, so no D past 8 changes a

@@ -1,11 +1,15 @@
+import csv
 import random
 from importlib.resources import files
 
+import pytest
+
 from mmds import (DemandDistribution, DemandMap, Instance, ShortestPathTree,
                   brute_force_mmds, build_spt, cost, edge_view_loads, h_solve,
-                  omds, oracle, parse_topology, segment_views,
+                  hmmdea, omds, oracle, parse_topology, segment_views,
                   validate_selection, view_masks)
-from mmds.cost import cost_of_parts
+from mmds.cli import main
+from mmds.cost import SolverError, cost_of_parts
 from mmds.instances import demo_instance
 
 from conftest import bundled_instance, random_tree_instance
@@ -105,6 +109,27 @@ class TestHSolve:
                 5: [45, 41, 38]}
         for D, rounds in want.items():
             assert h_solve(Instance(tree, demand), D).round_costs == rounds
+
+    def test_a_total_off_the_cost_functional_is_an_error(
+            self, monkeypatch, tmp_path, capsys):
+        # each round checks the running total against the cost functional;
+        # one unit off fails the solve, and in `mmds run` only its row
+        monkeypatch.setattr(hmmdea, "cost_of_parts",
+                            lambda masks, theta: cost_of_parts(masks, theta) + 1)
+        message = "delivery trees disagree with the cost functional"
+        tree, demand = demo_instance()
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            h_solve(Instance(tree, demand), 4)
+        out = tmp_path / "rows.csv"
+        code = main(["run", "--preset", "demo", "--d", "4", "--solver",
+                     "omds,hmmdea", "--out", str(out)])
+        assert code == 3 and capsys.readouterr() == ("", "")
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = {r["solver"]: r for r in csv.DictReader(fh)
+                    if r["sample"] == "0"}
+        assert (rows["omds"]["status"], rows["hmmdea"]["status"]) == \
+            ("ok", "error")
+        assert rows["hmmdea"]["error"] == f"SolverError: {message}"
 
     def test_arc_indicators_match_edge_loads(self, rng):
         # terminal 2 desires nothing, so arc (0, 2) carries no view

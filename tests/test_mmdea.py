@@ -292,13 +292,12 @@ def reference_theta(ref):
         if a is not None:
             theta.update((v, (a, k)) for v in range(a + 1, k)
                          if v in ref.desired)
-    theta[ref.segment.lo] = (ref.segment.lo, ref.segment.lo)
     return theta
 
 
 def reference_table(masks, seg, D, mode):
-    """(table, trees): the full-scan table and each feasible cell's anchor
-    tree, trees[k][d]."""
+    """The full-scan table: each feasible cell (value, link, anchor tree),
+    each other cell DROPPED."""
     desired = frozenset(seg.members)
     m, M = seg.lo, seg.hi
     prev_desired = {}
@@ -308,15 +307,11 @@ def reference_table(masks, seg, D, mode):
         if k in desired:
             last = k
     table = CostTable(seg, desired)
-    trees = {}
     for k in range(m, M + 1):
         col = {}
-        trees[k] = tk = {}
         if k == m:
             t = masks.get(m, 0)
-            col[0] = (t.bit_count(), None, 0)
-            tk[0] = t
-            table.columns[k] = col
+            table.columns[k] = {0: (t.bit_count(), (None, m, None), t)}
             continue
         if k in desired:
             lo = max(m, prev_desired[k])
@@ -326,13 +321,12 @@ def reference_table(masks, seg, D, mode):
                 if val < best_val:
                     best_val, best_col = val, kp
             if best_col is None:
-                col[0] = (INFEASIBLE, None, 0)
+                col[0] = DROPPED
             else:
                 link = (cheapest(table.columns[best_col])[1], k, None)
-                col[0] = (best_val + masks[k].bit_count(), link, 0)
-                tk[0] = masks[k]
+                col[0] = (best_val + masks[k].bit_count(), link, masks[k])
         else:
-            col[0] = (INFEASIBLE, None, 0)
+            col[0] = DROPPED
         between, joint = [], 0
         ck = masks[k].bit_count() if k in desired else 0
         for d in range(2, min(D, k - m) + 1):
@@ -341,35 +335,34 @@ def reference_table(masks, seg, D, mode):
                 between.append(a + 1)
                 joint |= masks[a + 1]
             if not between:
-                col[d] = (INFEASIBLE, None, joint)
+                col[d] = DROPPED
                 continue
             best = None
-            for j, (value, link, _) in sorted(table.columns[a].items()):
+            for _, (value, link, tree_j) in sorted(table.columns[a].items()):
                 if value == INFEASIBLE:
                     continue
                 cand = value + ck + _ref_phi(mode, masks, between, joint,
-                                             a, k, trees[a][j])
+                                             a, k, tree_j)
                 if best is None or cand < best[0]:
                     best = (cand, link)
             if best is None:
-                col[d] = (INFEASIBLE, None, joint)
+                col[d] = DROPPED
             else:
-                col[d] = (best[0], (best[1], k, a), joint)
-                tk[d] = masks.get(k, 0) | joint
+                col[d] = (best[0], (best[1], k, a), masks.get(k, 0) | joint)
         table.columns[k] = col
-    return table, trees
+    return table
 
 
 class TestAgainstFullScanReference:
     """Every variant keeps its cell slot; the reference's staircase cells
-    come out exactly, with their anchor trees, and every other cell is the
-    one DROPPED cell."""
+    come out exactly, links and anchor trees included, and every other cell
+    is the one DROPPED cell."""
 
     def assert_matches(self, tree, demand, D, mode):
         masks = view_masks(tree, demand)
         total, theta = 0, {}
         for seg in segment_views(demand, D):
-            ref, trees = reference_table(masks, seg, D, mode)
+            ref = reference_table(masks, seg, D, mode)
             _, _, got = solve_segment(tree, demand, seg, D, mode)
             assert got.columns.keys() == ref.columns.keys()
             for k, col in ref.columns.items():
@@ -378,8 +371,6 @@ class TestAgainstFullScanReference:
                 assert [got.columns[k][d] for d in on] == [col[d] for d in on]
                 assert all(got.columns[k][d] == DROPPED
                            for d in col if d not in on)
-                assert [masks.get(k, 0) | got.columns[k][d][2] for d in on] \
-                    == [trees[k][d] for d in on]
             total += ref.minimum(seg.hi)
             theta.update(reference_theta(ref))
         res = solve_general(Instance(tree, demand), D, mode)
@@ -417,9 +408,10 @@ class TestAnchorTreesNest:
     def assert_nested(self, tree, demand, D):
         masks = view_masks(tree, demand)
         for seg in segment_views(demand, D):
-            _, trees = reference_table(masks, seg, D, "exact")
-            for column in trees.values():
-                nested = [t for _, t in sorted(column.items())]
+            ref = reference_table(masks, seg, D, "exact")
+            for column in ref.columns.values():
+                nested = [t for _, (value, _, t) in sorted(column.items())
+                          if value != INFEASIBLE]
                 for i, small in enumerate(nested):
                     assert all(small & ~big == 0 for big in nested[i + 1:])
 
@@ -546,7 +538,7 @@ class TestSolveStats:
         for seg in segment_views(demand, 16):
             _, _, table = solve_segment(tree, demand, seg, 16, mode)
             scanned += scanned_candidates(
-                reference_table(masks, seg, 16, mode)[0], mode)
+                reference_table(masks, seg, 16, mode), mode)
             prices += table.prices
         assert solve_general(Instance(tree, demand), 16,
                              mode).stats["prices"] == prices
@@ -568,16 +560,16 @@ class TestSolveStats:
                             lambda *args: calls.append(args) or phi(*args))
         between = bounded = cut = 0
         for seg in segment_views(demand, 16):
-            ref, _ = reference_table(masks, seg, 16, mode)
+            ref = reference_table(masks, seg, 16, mode)
             for k, d in anchor_variants(seg, 16):
-                value, _, joint = ref.columns[k][d]
+                value, _, tree_d = ref.columns[k][d]
                 if value == INFEASIBLE or not any(
                         v in ref.desired for v in range(k - d + 1, k)):
                     continue
                 between += 1
                 mk = masks.get(k, 0)
                 bound = (ref.minimum(k - d) + mk.bit_count()
-                         + (joint & ~mk).bit_count())
+                         + (tree_d & ~mk).bit_count())
                 bounded += bound > min((v for dd, (v, _, _)
                                         in ref.columns[k].items() if dd > d),
                                        default=INFEASIBLE)

@@ -713,8 +713,16 @@ class TestDemandFiles:
     (lambda tmp: DemandDistribution("uniform", 0), "view_count must be >= 1"),
     (lambda tmp: run_scenario(ScenarioConfig()),
      "scenario needs --topology, --gen or --preset"),
+    (lambda tmp: run_scenario(ScenarioConfig(preset="demo",
+                                             topology=str(tmp / "nope.gml"))),
+     "scenario needs --topology, --gen or --preset, "
+     "not --topology and --preset"),
+    (lambda tmp: run_scenario(ScenarioConfig(gen=(10, 12),
+                                             topology=str(tmp / "nope.gml"))),
+     "scenario needs --topology, --gen or --preset, not --topology and --gen"),
 ], ids=["unknown-node", "empty-universe", "no-desired-view", "unknown-format",
-        "gml-named-nodes", "one-node", "no-view", "no-source"])
+        "gml-named-nodes", "one-node", "no-view", "no-source",
+        "preset-and-topology", "gen-and-topology"])
 def test_input_check_refuses(tmp_path, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
